@@ -555,9 +555,9 @@ func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSe
 	for i, n := range names {
 		evals[i] = &predict.Evaluator{P: predict.MustLookup(n).New(predict.SchemeContext{Configs: configs})}
 		if explain != nil {
-			// One recorder per evaluator: both the BCT2 stream fan-out and
-			// ScoreParallel give each hook its own goroutine, so the
-			// single-goroutine recorder rides its evaluator safely.
+			// One recorder per evaluator: the replay engine runs each hook
+			// on one goroutine at a time, so the single-goroutine recorder
+			// rides its evaluator safely.
 			recs[i] = attr.NewRecorder(explain.opts)
 			evals[i].Obs = recs[i]
 		}

@@ -224,7 +224,7 @@ type Eval struct {
 	Schemes map[string]SchemeResult
 
 	// Trace is the recorded counted-branch stream of the original binary
-	// over the evaluation inputs. Sweeps replay it (see Trace.ScoreParallel)
+	// over the evaluation inputs. Sweeps replay it (see tracefile.Score)
 	// instead of re-running the VM per configuration point.
 	Trace *tracefile.Trace
 
@@ -511,7 +511,7 @@ func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profIn
 	}
 	configs := cfg.Configs()
 	jobs := make([]*job, len(schemes))
-	var replayHooks []vm.BranchFunc
+	var replayed []*predict.Evaluator
 	var transformed []*job
 	for i, sc := range schemes {
 		sctx := predict.SchemeContext{Prog: prog, Profile: e.Profile, Configs: configs}
@@ -537,13 +537,13 @@ func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profIn
 		if sc.Transformed {
 			transformed = append(transformed, j)
 		} else {
-			replayHooks = append(replayHooks, j.ev.Hook())
+			replayed = append(replayed, j.ev)
 		}
 	}
-	if len(replayHooks) > 0 {
+	if len(replayed) > 0 {
 		start := time.Now()
 		rctx, span := telemetry.StartSpan(ctx, "core.replay")
-		err := e.Trace.ScoreParallelContext(rctx, replayHooks...)
+		err := tracefile.Score(rctx, e.Trace, replayed)
 		span.End()
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"branchcost/internal/core"
@@ -8,6 +9,7 @@ import (
 	"branchcost/internal/pipeline"
 	"branchcost/internal/predict"
 	"branchcost/internal/stats"
+	"branchcost/internal/tracefile"
 	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
 )
@@ -36,7 +38,9 @@ func CounterSweep(s *Suite, names []string) ([]CounterSweepRow, *stats.Table, er
 			th := uint8(1) << (bits - 1)
 			evs[i] = &predict.Evaluator{P: newScheme("cbtb", e, geometry(256, 256, bits, th))}
 		}
-		replayEvaluators(e.Trace, evs)
+		if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
+			return nil, nil, err
+		}
 		for i := range bitsList {
 			sums[i] += evs[i].S.Accuracy()
 		}
@@ -80,7 +84,9 @@ func SizeSweep(s *Suite, names []string) ([]SizeSweepRow, *stats.Table, error) {
 				&predict.Evaluator{P: newScheme("sbtb", e, geometry(n, n, 2, 2))},
 				&predict.Evaluator{P: newScheme("cbtb", e, geometry(n, n, 2, 2))})
 		}
-		replayEvaluators(e.Trace, evs)
+		if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
+			return nil, nil, err
+		}
 		for i := range sizes {
 			sums[i].sa += evs[2*i].S.Accuracy()
 			sums[i].sm += evs[2*i].S.MissRatio()
@@ -129,7 +135,9 @@ func AssocSweep(s *Suite, names []string) ([]AssocSweepRow, *stats.Table, error)
 				&predict.Evaluator{P: newScheme("sbtb", e, geometry(256, a, 2, 2))},
 				&predict.Evaluator{P: newScheme("cbtb", e, geometry(256, a, 2, 2))})
 		}
-		replayEvaluators(e.Trace, evs)
+		if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
+			return nil, nil, err
+		}
 		for i := range asss {
 			sums[i].sa += evs[2*i].S.Accuracy()
 			sums[i].ca += evs[2*i+1].S.Accuracy()
@@ -195,7 +203,9 @@ func ContextSwitch(s *Suite, names []string) ([]CtxSwitchRow, *stats.Table, erro
 			for _, h := range historySchemes {
 				evs = append(evs, &predict.Evaluator{P: newScheme(h, e, configs), FlushEvery: p})
 			}
-			replayEvaluators(e.Trace, evs)
+			if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
+				return nil, nil, err
+			}
 			if p == 0 {
 				rows[i].SBTBAcc += e.SBTB().Stats.Accuracy()
 				rows[i].CBTBAcc += e.CBTB().Stats.Accuracy()
@@ -256,7 +266,9 @@ func StaticSchemes(s *Suite, names []string) ([]StaticRow, *stats.Table, error) 
 		for i, l := range labels {
 			evs[i] = &predict.Evaluator{P: newScheme(l, e, configs)}
 		}
-		replayEvaluators(e.Trace, evs)
+		if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
+			return nil, nil, err
+		}
 		for i := range labels {
 			sums[i] += evs[i].S.Accuracy()
 		}

@@ -3,6 +3,7 @@ package experiments_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +13,9 @@ import (
 	"branchcost/internal/corpus"
 	"branchcost/internal/experiments"
 	"branchcost/internal/faultfs"
+	"branchcost/internal/predict"
 	"branchcost/internal/telemetry"
+	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
 )
 
@@ -247,6 +250,37 @@ func TestSuitePanicIsolated(t *testing.T) {
 	// The suite survived: a healthy benchmark still evaluates.
 	if _, err := s.EvalContext(context.Background(), "wc"); err != nil {
 		t.Fatalf("suite unusable after a panic: %v", err)
+	}
+}
+
+// replayPanic is a context-free scheme that panics on its first prediction,
+// standing in for a predictor whose state a bad corpus entry corrupted.
+type replayPanic struct{}
+
+func (replayPanic) Name() string                              { return "replay-panic" }
+func (replayPanic) Predict(vm.BranchEvent) predict.Prediction { panic("replay-panic: corrupted state") }
+func (replayPanic) Update(vm.BranchEvent)                     {}
+func (replayPanic) Reset()                                    {}
+
+func init() {
+	predict.Register(predict.Scheme{
+		Name:        "replay-panic",
+		Description: "test scheme that panics during replay",
+		New:         func(predict.SchemeContext) predict.Predictor { return replayPanic{} },
+	})
+}
+
+// TestSuiteReplayPanicIsolated: a scheme panicking on a replay worker, not
+// on the evaluation's own goroutine, still reaches the suite's recover fence
+// and fails the benchmark with ErrEvalPanic instead of killing the process.
+func TestSuiteReplayPanicIsolated(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // two schemes, two replay workers
+	s := experiments.NewSuite(core.Config{Schemes: []string{"sbtb", "replay-panic"}})
+	if _, err := s.EvalContext(context.Background(), "wc"); !errors.Is(err, experiments.ErrEvalPanic) {
+		t.Fatalf("replay panic returned %v, want ErrEvalPanic", err)
+	}
+	if fails := s.Failures(); len(fails) != 1 || fails[0].Phase != "panic" {
+		t.Fatalf("Failures() = %v, want one phase-panic entry", fails)
 	}
 }
 

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"branchcost/internal/predict"
 	"branchcost/internal/stats"
+	"branchcost/internal/tracefile"
 	"branchcost/internal/workloads"
 )
 
@@ -36,19 +38,17 @@ func ModernSuite(s *Suite) ([]ModernRow, *stats.Table, error) {
 		// fs scores through the suite's transformed-binary evaluation (as in
 		// the Pareto sweep); the hardware schemes replay the cached trace.
 		evs := make([]*predict.Evaluator, len(ModernSchemes))
+		var replayed []*predict.Evaluator
 		for i, name := range ModernSchemes {
 			if name == "fs" {
 				continue
 			}
 			evs[i] = &predict.Evaluator{P: newScheme(name, e, s.Cfg.SchemeConfigs)}
+			replayed = append(replayed, evs[i])
 		}
-		var hooks []*predict.Evaluator
-		for _, ev := range evs {
-			if ev != nil {
-				hooks = append(hooks, ev)
-			}
+		if err := tracefile.Score(context.Background(), e.Trace, replayed); err != nil {
+			return nil, nil, err
 		}
-		replayEvaluators(e.Trace, hooks)
 		r := ModernRow{Benchmark: b.Name, Class: b.Class, Accuracy: map[string]float64{}}
 		cells := []string{b.Name, b.Class}
 		for i, name := range ModernSchemes {

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 
 	"branchcost/internal/predict"
 	"branchcost/internal/stats"
+	"branchcost/internal/tracefile"
 )
 
 // ParetoRow is one (scheme, geometry) point of the storage-vs-accuracy
@@ -94,7 +96,9 @@ func Pareto(s *Suite, names []string) ([]ParetoRow, *stats.Table, error) {
 			}
 			resolved[i] = configs.Resolved(pt.scheme)
 		}
-		replayEvaluators(e.Trace, evs)
+		if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
+			return nil, nil, err
+		}
 		for i, ev := range evs {
 			aggs[i].acc += ev.S.Accuracy()
 			aggs[i].cond += ev.S.CondAccuracy()

@@ -20,7 +20,6 @@ import (
 	"branchcost/internal/corpus"
 	"branchcost/internal/predict"
 	"branchcost/internal/telemetry"
-	"branchcost/internal/tracefile"
 	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
 )
@@ -565,14 +564,4 @@ func geometry(entries, assoc, bits int, threshold uint8) predict.ConfigSet {
 			CounterConfig: predict.CounterConfig{Bits: bits, Threshold: predict.Ptr(threshold)},
 		},
 	}
-}
-
-// replayEvaluators scores the evaluators over a recorded trace in parallel
-// — the sweeps' hot path: no VM re-execution per configuration point.
-func replayEvaluators(tr *tracefile.Trace, evs []*predict.Evaluator) {
-	hooks := make([]vm.BranchFunc, len(evs))
-	for i, ev := range evs {
-		hooks[i] = ev.Hook()
-	}
-	tr.ScoreParallel(hooks...)
 }

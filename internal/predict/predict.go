@@ -140,6 +140,15 @@ func (e *Evaluator) Hook() vm.BranchFunc {
 	return e.Observe
 }
 
+// ObserveBlock scores a block of events in order, exactly as Observe would
+// one by one; it makes the evaluator a tracefile.BlockSink, so the replay
+// engine hands it whole blocks instead of calling a hook per event.
+func (e *Evaluator) ObserveBlock(evs []vm.BranchEvent) {
+	for i := range evs {
+		e.Observe(evs[i])
+	}
+}
+
 // Observe scores one branch event. Non-branch control events (CALL) pass
 // through unscored.
 func (e *Evaluator) Observe(ev vm.BranchEvent) {

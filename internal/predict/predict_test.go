@@ -1,8 +1,10 @@
 package predict_test
 
 import (
+	"slices"
 	"testing"
 
+	"branchcost/internal/btb"
 	"branchcost/internal/isa"
 	"branchcost/internal/predict"
 	"branchcost/internal/profile"
@@ -199,6 +201,44 @@ func TestOnResultCallback(t *testing.T) {
 	e.Observe(ev(1, isa.BEQ, true, 4, false))  // wrong
 	if len(got) != 2 || !got[0] || got[1] {
 		t.Fatalf("callback sequence: %v", got)
+	}
+}
+
+// outcomeLog is an Observer keeping every outcome.
+type outcomeLog []predict.Outcome
+
+func (l *outcomeLog) ObserveEvent(_ vm.BranchEvent, out predict.Outcome) { *l = append(*l, out) }
+
+// TestEvaluatorObserveBlock: scoring a stream block by block must match
+// scoring it event by event — flush period, OnResult and Obs included —
+// wherever the block boundaries fall.
+func TestEvaluatorObserveBlock(t *testing.T) {
+	var evs []vm.BranchEvent
+	for i := 0; i < 300; i++ {
+		pc := int32(i % 13)
+		evs = append(evs, ev(pc, isa.BEQ, i%3 != 0, pc+7, false))
+	}
+	type run struct {
+		e       *predict.Evaluator
+		results []bool
+		obs     outcomeLog
+	}
+	mk := func() *run {
+		r := &run{}
+		r.e = &predict.Evaluator{P: btb.NewSBTB(4, 4), FlushEvery: 17, Obs: &r.obs,
+			OnResult: func(_ vm.BranchEvent, correct bool) { r.results = append(r.results, correct) }}
+		return r
+	}
+	one := mk()
+	for _, x := range evs {
+		one.e.Observe(x)
+	}
+	blocks := mk()
+	for lo, n := 0, 1; lo < len(evs); lo, n = lo+n, n+5 {
+		blocks.e.ObserveBlock(evs[lo:min(lo+n, len(evs))])
+	}
+	if blocks.e.S != one.e.S || !slices.Equal(blocks.results, one.results) || !slices.Equal(blocks.obs, one.obs) {
+		t.Fatalf("block scoring diverged:\nblocks %+v\nevents %+v", blocks.e.S, one.e.S)
 	}
 }
 

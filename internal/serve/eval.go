@@ -12,7 +12,6 @@ import (
 	"branchcost/internal/predict"
 	"branchcost/internal/telemetry"
 	"branchcost/internal/tracefile"
-	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
 )
 
@@ -155,7 +154,8 @@ func (s *Server) handleEvalUpload(w http.ResponseWriter, r *http.Request) {
 
 // replayTrace scores the trace under every named scheme in one parallel
 // replay pass. A panicking predictor on a hostile trace becomes
-// ErrEvalPanic — this request's 500, not the daemon's obituary.
+// ErrEvalPanic — this request's 500, not the daemon's obituary: the engine
+// re-raises a replay worker's panic here, inside the fence.
 func (s *Server) replayTrace(ctx context.Context, tr *tracefile.Trace, names []string) (stats map[string]predict.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -166,13 +166,11 @@ func (s *Server) replayTrace(ctx context.Context, tr *tracefile.Trace, names []s
 	}()
 	sctx := predict.SchemeContext{Configs: s.cfg.Core.SchemeConfigs}
 	evals := make([]*predict.Evaluator, len(names))
-	hooks := make([]vm.BranchFunc, len(names))
 	for i, n := range names {
 		sc, _ := predict.Lookup(n)
 		evals[i] = &predict.Evaluator{P: sc.New(sctx)}
-		hooks[i] = evals[i].Hook()
 	}
-	if err := tr.ScoreParallelContext(ctx, hooks...); err != nil {
+	if err := tracefile.Score(ctx, tr, evals); err != nil {
 		return nil, err
 	}
 	stats = make(map[string]predict.Stats, len(names))

@@ -208,7 +208,9 @@ func TestWriteToDefaultsToBCT2(t *testing.T) {
 
 // FuzzBCT2Decode hammers the block decoder with mutated streams: whatever
 // the bytes, decoding must terminate without panicking, and any non-EOF
-// outcome must be a located error.
+// outcome must be a located error. A stream that decodes to EOF must also
+// load through ReadTrace and replay, without panicking, to exactly the
+// events block decoding produced.
 func FuzzBCT2Decode(f *testing.F) {
 	tr, err := tracefile.Record(mustProgram(f), [][]byte{nil})
 	if err != nil {
@@ -236,20 +238,38 @@ func FuzzBCT2Decode(f *testing.F) {
 	f.Add(seedBlock([]byte{0x01, 0x01, 0x15, 0x00}))                  // site entry with negative pc
 	f.Add([]byte("BCT2\x01\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80")) // frame-length varint overflow
 	f.Add([]byte("BCT2\x01\x00\x64\x01\xde\xad\xbe\xef"))             // end marker, bogus trailer CRC
+	f.Add(dupPCStream())                                              // one pc, two static identities
+	f.Add(retargetStream())                                           // a direct branch changing target
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := tracefile.NewBCT2Reader(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var evs []vm.BranchEvent
-		for {
-			evs, err = d.NextBlock(evs[:0])
-			if err != nil {
-				break
+		var decoded, evs []vm.BranchEvent
+		for err == nil {
+			if evs, err = d.NextBlock(decoded); err == nil {
+				decoded = evs
 			}
 		}
-		if !errors.Is(err, io.EOF) && !strings.Contains(err.Error(), "offset") {
-			t.Fatalf("decode error lacks location: %v", err)
+		if !errors.Is(err, io.EOF) {
+			if !strings.Contains(err.Error(), "offset") {
+				t.Fatalf("decode error lacks location: %v", err)
+			}
+			return
+		}
+		tr, err := tracefile.ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("stream decodes to EOF but does not load: %v", err)
+		}
+		i := 0
+		tr.Replay(func(ev vm.BranchEvent) {
+			if i >= len(decoded) || ev != decoded[i] {
+				t.Fatalf("replayed event %d = %+v, block decoding gave %d events", i, ev, len(decoded))
+			}
+			i++
+		})
+		if i != len(decoded) {
+			t.Fatalf("replayed %d events, block decoding gave %d", i, len(decoded))
 		}
 	})
 }

@@ -1,7 +1,9 @@
 package tracefile
 
 import (
+	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"branchcost/internal/isa"
@@ -25,26 +27,54 @@ func syntheticTrace(n int) *Trace {
 	return t
 }
 
-// TestReplayEventCounter checks the replay inner loop's telemetry contract:
-// a single-hook replay decodes each event exactly once and counts it.
+// countSink counts the events it is fed.
+type countSink struct{ n int }
+
+func (c *countSink) ObserveBlock(evs []vm.BranchEvent) { c.n += len(evs) }
+
+// TestReplayEventCounter checks the engine's telemetry contract from both
+// sources and at several sink counts: every sink sees every event, and the
+// per-block counter adds up to exactly events × sinks.
 func TestReplayEventCounter(t *testing.T) {
 	tr := syntheticTrace(10_000)
-	set := telemetry.New()
-	ctx := telemetry.NewContext(context.Background(), set)
-	var seen int
-	if err := tr.ScoreParallelContext(ctx, func(vm.BranchEvent) { seen++ }); err != nil {
+	var enc bytes.Buffer
+	if _, err := tr.WriteTo(&enc); err != nil {
 		t.Fatal(err)
 	}
-	if seen != tr.Len() {
-		t.Fatalf("hook saw %d events, trace has %d", seen, tr.Len())
+	sources := map[string]func(context.Context, []*countSink) error{
+		"trace": func(ctx context.Context, sinks []*countSink) error { return Score(ctx, tr, sinks) },
+		"bct2": func(ctx context.Context, sinks []*countSink) error {
+			d, err := NewBCT2Reader(bytes.NewReader(enc.Bytes()))
+			if err != nil {
+				return err
+			}
+			return drive(ctx, &cursor{d: d}, asSinks(sinks))
+		},
 	}
-	if got := set.Counter("tracefile.replay.events").Value(); got != int64(tr.Len()) {
-		t.Fatalf("replay.events = %d, want %d", got, tr.Len())
+	for name, score := range sources {
+		for _, n := range []int{1, 3, 8} {
+			set := telemetry.New()
+			sinks := make([]*countSink, n)
+			for i := range sinks {
+				sinks[i] = &countSink{}
+			}
+			if err := score(telemetry.NewContext(context.Background(), set), sinks); err != nil {
+				t.Fatalf("%s, %d sinks: %v", name, n, err)
+			}
+			for i, s := range sinks {
+				if s.n != tr.Len() {
+					t.Fatalf("%s: sink %d of %d saw %d events, trace has %d", name, i, n, s.n, tr.Len())
+				}
+			}
+			if got, want := set.Counter("tracefile.replay.events").Value(), int64(n*tr.Len()); got != want {
+				t.Fatalf("%s, %d sinks: replay.events = %d, want %d", name, n, got, want)
+			}
+		}
 	}
 }
 
 // The pair below measures the cost the telemetry layer adds to the replay
-// hot loop. With no Set in the context the per-event counter is nil and the
+// hot loop. With no Set in the context the per-block counter is nil and the
 // delta between these two benchmarks is the (enabled) telemetry cost; the
 // disabled path is asserted ≤2ns/op by TestDisabledCounterOverhead in
 // internal/telemetry.
@@ -67,4 +97,41 @@ func BenchmarkReplayTelemetryDisabled(b *testing.B) {
 
 func BenchmarkReplayTelemetryEnabled(b *testing.B) {
 	benchmarkReplay(b, telemetry.NewContext(context.Background(), telemetry.New()))
+}
+
+// The pair below replays in the daemon's shape: two requests in flight,
+// each fanning eight hooks over the replay workers, every one of them
+// counting into the same "tracefile.replay.events" counter when a Set is
+// attached. The delta between the two is the counter's contended cost.
+
+func benchmarkContendedReplay(b *testing.B, ctx context.Context) {
+	const requests, hooksPer = 2, 8
+	tr := syntheticTrace(1 << 16)
+	hooks := make([]vm.BranchFunc, hooksPer)
+	for i := range hooks {
+		hooks[i] = func(vm.BranchEvent) {}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for range requests {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := tr.ScoreParallelContext(ctx, hooks...); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()*requests*hooksPer), "ns/event/hook")
+}
+
+func BenchmarkContendedReplayTelemetryDisabled(b *testing.B) {
+	benchmarkContendedReplay(b, context.Background())
+}
+
+func BenchmarkContendedReplayTelemetryEnabled(b *testing.B) {
+	benchmarkContendedReplay(b, telemetry.NewContext(context.Background(), telemetry.New()))
 }
