@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test vet race telemetry-check chaos chaos-serve serve-check verify frontend-check pareto workloads-check bench bench-json bench-check bench-check-warn corpus-bench repro tables figures ablations fuzz fuzz-short goldens clean
+.PHONY: all build test vet race telemetry-check chaos chaos-serve serve-check verify frontend-check pareto workloads-check bench bench-json corpus-bench repro tables figures ablations fuzz fuzz-short goldens clean
 
-all: build vet test race telemetry-check chaos serve-check verify frontend-check pareto workloads-check bench-check-warn
+all: build vet test race telemetry-check chaos serve-check verify frontend-check pareto workloads-check
 
 # Differential-oracle gate: record-or-load the whole benchmark corpus, then
 # replay every trace through each context-free scheme and its deliberately
@@ -120,25 +120,6 @@ bench-json:
 		-metrics BENCH_$$(date +%Y%m%d).json
 	@echo "wrote BENCH_$$(date +%Y%m%d).json"
 
-# Regression gate against the committed bench-json baseline: regenerate the
-# headline manifests through the warm corpus and diff them against the newest
-# committed BENCH_*.json. Scores must replay bit-identically (accuracy to
-# 1e-9, counts exact); wall clock gets a wide machine-noise ratio. Hard-fails
-# on drift; `bench-check-warn` is the tier-1 wrapper that only warns, since
-# tier-1 must stay green on machines with no baseline provenance.
-BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-BENCH_CURRENT ?= .bench-current.json
-bench-check:
-	@test -n "$(BENCH_BASELINE)" || { echo "bench-check: no BENCH_*.json baseline; run make bench-json first"; exit 2; }
-	$(GO) run ./cmd/btrace -corpus $(BENCH_CORPUS) -record-suite
-	$(GO) run ./cmd/branchsim -corpus $(BENCH_CORPUS) -headline \
-		-metrics $(BENCH_CURRENT) >/dev/null
-	$(GO) run ./cmd/benchdiff $(BENCH_BASELINE) $(BENCH_CURRENT)
-
-bench-check-warn:
-	-@$(MAKE) --no-print-directory bench-check || \
-		echo "bench-check: drift vs $(BENCH_BASELINE) (warning only in tier-1)"
-
 # Warm-corpus suite replay (zero VM execution) vs. live re-execution.
 corpus-bench:
 	$(GO) test ./internal/experiments -run '^$$' \
@@ -161,13 +142,15 @@ ablations:
 	         frontend pareto; do \
 		$(GO) run ./cmd/branchsim -ablate $$a; done
 
-# Fuzzing: the language front end and both trace-file decoders.
+# Fuzzing: the language front end, both trace-file decoders, and the scheme
+# option space (rejected with a typed error, or built and oracle-checked).
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/lang
 	$(GO) test -fuzz FuzzInterp -fuzztime $(FUZZTIME) ./internal/lang
 	$(GO) test -fuzz FuzzBCT1Decode -fuzztime $(FUZZTIME) ./internal/tracefile
 	$(GO) test -fuzz FuzzBCT2Decode -fuzztime $(FUZZTIME) ./internal/tracefile
+	$(GO) test -fuzz FuzzSchemeOptions -fuzztime $(FUZZTIME) ./internal/oracle
 
 # Quick pass over every fuzz target (30 s each) — the pre-commit loop.
 fuzz-short:

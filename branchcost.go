@@ -194,13 +194,14 @@ type Superscalar = pipeline.Superscalar
 // with the sustained instruction fetch rate R: penalty = 1 + R·(P−1).
 type VariableFetch = pipeline.VariableFetch
 
-// Config selects hardware parameters and the scheme list for a full
-// evaluation; the zero value is the paper's configuration. Pointer fields
-// (CounterThreshold, EvalSlots) distinguish "unset" from an explicit zero —
-// build them with Ptr.
+// Config selects the schemes to score, their typed configurations
+// (SchemeConfigs) and the FS slot depth for a full evaluation; the zero
+// value is the paper's configuration. The pointer field EvalSlots
+// distinguishes "unset" from an explicit zero — build it with Ptr.
 type Config = core.Config
 
-// Ptr returns a pointer to v, for Config's pointer-valued fields.
+// Ptr returns a pointer to v, for pointer-valued fields such as
+// Config.EvalSlots and CounterConfig.Threshold.
 func Ptr[T any](v T) *T { return core.Ptr(v) }
 
 // Eval is the complete measurement of one benchmark: the shared profile and

@@ -17,10 +17,13 @@
 //	branchsim -scheme-opt gshare.history=14 -ablate pareto  # per-scheme override
 //	branchsim -attr -topk 10 -attr-json attr.json  # mispredict attribution report
 //
-// Hardware configuration knobs (-entries, -assoc, -bits, -threshold,
-// -slots) default to the paper's configuration; -scheme-opt scheme.key=value
-// (repeatable) overrides any registered scheme's typed configuration. -width selects the fetch
-// widths of the frontend sweep/check (default 1,2,4,8).
+// Hardware configuration knobs default to the paper's configuration:
+// -entries and -assoc shape both BTBs, -bits and -threshold the CBTB's
+// counter, -slots the measured FS binary. -scheme-opt scheme.key=value
+// (repeatable) overrides any registered scheme's typed configuration,
+// winning over the BTB knobs. A configuration no predictor can be built
+// from exits 2 before any evaluation runs. -width selects the fetch widths
+// of the frontend sweep/check (default 1,2,4,8).
 //
 // -corpus DIR (default $BRANCHCOST_CORPUS) evaluates through the disk-backed
 // trace corpus: benchmarks with a matching entry replay from disk instead of
@@ -70,8 +73,8 @@ func main() {
 		all      = flag.Bool("all", false, "regenerate everything")
 		benchSel = flag.String("bench", "", "comma-separated benchmark subset for ablations (default: all primary)")
 
-		entries    = flag.Int("entries", 256, "BTB entries")
-		assoc      = flag.Int("assoc", 256, "BTB associativity")
+		entries    = flag.Int("entries", 256, "SBTB and CBTB entries")
+		assoc      = flag.Int("assoc", 256, "SBTB and CBTB associativity")
 		bits       = flag.Int("bits", 2, "CBTB counter bits")
 		threshold  = flag.Int("threshold", -1, "CBTB counter threshold (-1: auto, the counter midpoint)")
 		slots      = flag.Int("slots", 2, "forward slots (k+l) for the measured FS binary")
@@ -104,17 +107,11 @@ func main() {
 
 	outputFormat = *format
 	cfg := core.Config{
-		SBTBEntries: *entries, SBTBAssoc: *assoc,
-		CBTBEntries: *entries, CBTBAssoc: *assoc,
-		CounterBits: *bits,
-		EvalSlots:   slots,
-		Telemetry:   set,
-		MaxVMSteps:  *maxSteps,
+		EvalSlots:  slots,
+		Telemetry:  set,
+		MaxVMSteps: *maxSteps,
 	}
-	if *threshold >= 0 {
-		cfg.CounterThreshold = core.Ptr(uint8(*threshold))
-	}
-	if cfg.SchemeConfigs, err = predict.ParseOptions(schemeOpts); err != nil {
+	if cfg.SchemeConfigs, err = predict.FlagConfigs(*entries, *assoc, *bits, *threshold, schemeOpts); err != nil {
 		fmt.Fprintf(os.Stderr, "branchsim: %v\n", err)
 		os.Exit(2)
 	}

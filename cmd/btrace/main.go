@@ -8,7 +8,7 @@
 //	btrace -record -format bct1 -o g.bt ...    # record in the legacy format
 //	btrace -record -o prog.bt prog.mc          # record an MC program (empty input)
 //	btrace grep.bt                             # replay through every context-free scheme
-//	btrace -scheme cbtb -entries 64 grep.bt    # one scheme, custom geometry
+//	btrace -scheme cbtb -entries 64 -assoc 4 grep.bt  # one scheme, custom geometry
 //	btrace -scheme tage -scheme-opt tage.tables=5 grep.bt  # per-scheme option
 //	btrace -frontend -width 1,2,4,8 grep.bt    # trace-driven frontend cost report
 //	btrace -explain -topk 10 grep.bt           # per-scheme mispredict forensics
@@ -19,6 +19,10 @@
 //	btrace -corpus DIR -record-suite           # record-or-load all benchmarks into DIR
 //	btrace -corpus DIR -ls                     # list corpus entries
 //	btrace -corpus DIR -verify                 # verify every corpus trace
+//
+// -entries/-assoc shape both BTBs and -bits/-threshold the CBTB's counter;
+// -scheme-opt overrides win over them. A configuration no predictor can be
+// built from exits 2 before anything runs.
 //
 // -verify replays the trace through every context-free registered scheme and
 // a deliberately naive reference model (internal/oracle) in lockstep: the
@@ -79,10 +83,10 @@ func main() {
 		recordSuite = flag.Bool("record-suite", false, "record-or-load every benchmark into -corpus")
 		list        = flag.Bool("ls", false, "list corpus entries")
 		scheme      = flag.String("scheme", "", "replay one registered scheme (default: all context-free schemes)")
-		entries     = flag.Int("entries", 256, "BTB entries")
-		assoc       = flag.Int("assoc", 256, "BTB associativity")
+		entries     = flag.Int("entries", 256, "SBTB and CBTB entries")
+		assoc       = flag.Int("assoc", 256, "SBTB and CBTB associativity")
 		bits        = flag.Int("bits", 2, "CBTB counter bits")
-		thresh      = flag.Int("threshold", -1, "CBTB threshold (-1: auto, the counter midpoint)")
+		thresh      = flag.Int("threshold", -1, "CBTB counter threshold (-1: auto, the counter midpoint)")
 		frontend    = flag.Bool("frontend", false, "with replay: drive the trace-fed pipeline simulator and report per-width branch costs")
 		widthSel    = flag.String("width", "", "comma-separated fetch widths for -frontend (default 1,2,4,8)")
 		explain     = flag.Bool("explain", false, "with replay: per-scheme mispredict forensics (top sites, accuracy over time)")
@@ -104,9 +108,10 @@ func main() {
 	}
 	ctx := telemetry.NewContext(context.Background(), set)
 
-	configs, err := buildConfigs(*entries, *assoc, *bits, *thresh, schemeOpts)
+	configs, err := predict.FlagConfigs(*entries, *assoc, *bits, *thresh, schemeOpts)
 	if err != nil {
-		fail(err)
+		fmt.Fprintf(os.Stderr, "btrace: %v\n", err)
+		os.Exit(2)
 	}
 	// -ls without an explicit -corpus flag lists the scheme registry; with
 	// one it keeps its historical meaning, listing corpus entries.
@@ -163,25 +168,6 @@ func (m *multiFlag) String() string { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(s string) error {
 	*m = append(*m, s)
 	return nil
-}
-
-// buildConfigs resolves the base geometry flags into a per-scheme config set
-// and layers the -scheme-opt overrides on top of them.
-func buildConfigs(entries, assoc, bits, thresh int, opts []string) (predict.ConfigSet, error) {
-	geom := predict.BTBGeometry{Entries: entries, Assoc: assoc}
-	cbtb := predict.CBTBConfig{BTBGeometry: geom, CounterConfig: predict.CounterConfig{Bits: bits}}
-	if thresh >= 0 {
-		cbtb.Threshold = predict.Ptr(uint8(thresh))
-	}
-	base := predict.ConfigSet{
-		"sbtb": predict.SBTBConfig{BTBGeometry: geom},
-		"cbtb": cbtb,
-	}
-	over, err := predict.ParseOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return predict.MergeSets(base, over), nil
 }
 
 // doListSchemes prints every registered scheme with its resolved default

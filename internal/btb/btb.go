@@ -6,8 +6,6 @@
 package btb
 
 import (
-	"fmt"
-
 	"branchcost/internal/predict"
 	"branchcost/internal/vm"
 )
@@ -46,10 +44,11 @@ type Buffer struct {
 }
 
 // NewBuffer returns a buffer with the given total entries and associativity.
-// It panics if entries is not a positive multiple of assoc.
+// It panics on a geometry predict.BTBGeometry.Validate rejects (entries not
+// a positive multiple of assoc).
 func NewBuffer(entries, assoc int) *Buffer {
-	if entries <= 0 || assoc <= 0 || entries%assoc != 0 {
-		panic(fmt.Sprintf("btb: bad geometry %d entries / %d-way", entries, assoc))
+	if err := (predict.BTBGeometry{Entries: entries, Assoc: assoc}).Validate(); err != nil {
+		panic(err)
 	}
 	nsets := entries / assoc
 	b := &Buffer{
@@ -255,16 +254,13 @@ type CBTB struct {
 }
 
 // NewCBTB returns a CBTB with the given geometry and counter configuration.
-// The paper's configuration is NewCBTB(256, 256, 2, 2).
+// The paper's configuration is NewCBTB(256, 256, 2, 2). It panics on a
+// configuration predict.CBTBConfig.Validate rejects.
 func NewCBTB(entries, assoc, bits int, threshold uint8) *CBTB {
-	if bits < 1 || bits > 8 {
-		panic(fmt.Sprintf("btb: counter bits %d out of range [1,8]", bits))
+	if err := (predict.CounterConfig{Bits: bits, Threshold: &threshold}).Validate(); err != nil {
+		panic(err)
 	}
-	maxC := uint8(1)<<bits - 1
-	if threshold > maxC {
-		panic(fmt.Sprintf("btb: threshold %d exceeds counter max %d", threshold, maxC))
-	}
-	return &CBTB{buf: NewBuffer(entries, assoc), bits: bits, max: maxC, threshold: threshold}
+	return &CBTB{buf: NewBuffer(entries, assoc), bits: bits, max: uint8(1)<<bits - 1, threshold: threshold}
 }
 
 // Name implements predict.Predictor.

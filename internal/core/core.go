@@ -34,34 +34,11 @@ import (
 	"branchcost/internal/workloads"
 )
 
-// Config selects the hardware configuration of the BTB schemes, the slot
-// depth used when materializing the Forward Semantic binary, and which
-// registered schemes to score.
-//
-// Default rule: fields whose zero value is never valid (buffer geometry,
-// counter width) are plain ints where 0 means "paper configuration".
-// Sweepable fields whose zero value is meaningful — CounterThreshold: 0 is
-// a real threshold, EvalSlots: 0 a real (degenerate) transform — are
-// pointers where nil means "paper configuration"; build them with Ptr.
+// Config selects which registered schemes to score and how (SchemeConfigs),
+// the slot depth used when materializing the Forward Semantic binary, and
+// the evaluation's side measurements and limits. The zero value is the
+// paper's configuration.
 type Config struct {
-	SBTBEntries int
-	SBTBAssoc   int
-
-	CBTBEntries int
-	CBTBAssoc   int
-	CounterBits int
-
-	// Two-level BTB geometry (the "btb2l" scheme). Zero fields resolve to
-	// predict.TwoLevelDefaults rather than the paper configuration — the
-	// 1989 paper has no two-level organization to default to.
-	BTBL1Entries int
-	BTBL1Assoc   int
-	BTBL2Entries int
-	BTBL2Assoc   int
-
-	// CounterThreshold is the CBTB taken threshold; nil means the paper's 2.
-	CounterThreshold *uint8
-
 	// EvalSlots is the k+ℓ used for the measured FS binary; nil means the
 	// paper's 2. The measured accuracy is independent of it (slots never
 	// execute), but the binary's layout and code growth depend on it.
@@ -110,8 +87,10 @@ type Config struct {
 	MaxVMSteps int64
 
 	// SchemeConfigs carries per-scheme configuration overrides (typically
-	// parsed from -scheme-opt flags) layered over both the registry defaults
-	// and the flat geometry fields above; an override here wins over both.
+	// predict.FlagConfigs from the CLI flags) layered field by field over
+	// the registry defaults; nil scores every scheme at its defaults, the
+	// paper's configuration for the paper's schemes. EvaluateContext
+	// rejects a set predict.ConfigSet.Validate rejects.
 	SchemeConfigs predict.ConfigSet
 
 	// Attribution, when non-nil, attaches a per-scheme attr.Recorder to every
@@ -123,67 +102,22 @@ type Config struct {
 }
 
 // Ptr returns a pointer to v, for the Config fields with pointer-or-nil
-// default semantics: core.Config{CounterThreshold: core.Ptr[uint8](0)}.
+// default semantics: core.Config{EvalSlots: core.Ptr(0)}.
 func Ptr[T any](v T) *T { return &v }
-
-// Paper is the configuration used throughout the paper's evaluation.
-var Paper = Config{
-	SBTBEntries: 256, SBTBAssoc: 256,
-	CBTBEntries: 256, CBTBAssoc: 256,
-	CounterBits: 2, CounterThreshold: Ptr[uint8](2),
-	EvalSlots: Ptr(2),
-}
 
 // DefaultSchemes returns the paper's three schemes in its tables' order.
 func DefaultSchemes() []string { return []string{"sbtb", "cbtb", "fs"} }
 
 func (c Config) withDefaults() Config {
-	d := c
-	if d.SBTBEntries == 0 {
-		d.SBTBEntries = Paper.SBTBEntries
+	if c.EvalSlots == nil {
+		c.EvalSlots = Ptr(2) // the paper's k+ℓ
 	}
-	if d.SBTBAssoc == 0 {
-		d.SBTBAssoc = Paper.SBTBAssoc
-	}
-	if d.CBTBEntries == 0 {
-		d.CBTBEntries = Paper.CBTBEntries
-	}
-	if d.CBTBAssoc == 0 {
-		d.CBTBAssoc = Paper.CBTBAssoc
-	}
-	if d.CounterBits == 0 {
-		d.CounterBits = Paper.CounterBits
-	}
-	if d.CounterThreshold == nil {
-		d.CounterThreshold = Paper.CounterThreshold
-	}
-	if d.EvalSlots == nil {
-		d.EvalSlots = Paper.EvalSlots
-	}
-	return d
+	return c
 }
 
-// Configs returns the resolved per-scheme configuration set the registry's
-// constructors consume: the flat geometry fields expressed as typed
-// overrides, with Config.SchemeConfigs layered on top.
-func (c Config) Configs() predict.ConfigSet {
-	d := c.withDefaults()
-	cs := predict.ConfigSet{
-		"sbtb": predict.SBTBConfig{
-			BTBGeometry: predict.BTBGeometry{Entries: d.SBTBEntries, Assoc: d.SBTBAssoc},
-		},
-		"cbtb": predict.CBTBConfig{
-			BTBGeometry:   predict.BTBGeometry{Entries: d.CBTBEntries, Assoc: d.CBTBAssoc},
-			CounterConfig: predict.CounterConfig{Bits: d.CounterBits, Threshold: d.CounterThreshold},
-		},
-		"btb2l": predict.TwoLevelConfig{
-			L1Entries: d.BTBL1Entries, L1Assoc: d.BTBL1Assoc,
-			L2Entries: d.BTBL2Entries, L2Assoc: d.BTBL2Assoc,
-			CounterConfig: predict.CounterConfig{Bits: d.CounterBits, Threshold: d.CounterThreshold},
-		},
-	}
-	return predict.MergeSets(cs, c.SchemeConfigs)
-}
+// Configs returns the per-scheme configuration set the registry's
+// constructors consume: Config.SchemeConfigs.
+func (c Config) Configs() predict.ConfigSet { return c.SchemeConfigs }
 
 // SchemeResult is one scheme's score on one benchmark.
 type SchemeResult struct {
@@ -339,6 +273,9 @@ func Evaluate(name string, prog *isa.Program, profInputs, evalInputs [][]byte, c
 // pass over the transformed binary as the only live execution.
 func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profInputs, evalInputs [][]byte, cfg Config) (*Eval, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.SchemeConfigs.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", name, err)
+	}
 	set := telemetry.FromContext(ctx)
 	if set == nil && cfg.Telemetry != nil {
 		set = cfg.Telemetry
@@ -509,12 +446,11 @@ func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profIn
 		cycle *pipeline.CycleSim
 		rec   *attr.Recorder // nil unless Config.Attribution was set
 	}
-	configs := cfg.Configs()
 	jobs := make([]*job, len(schemes))
 	var replayed []*predict.Evaluator
 	var transformed []*job
 	for i, sc := range schemes {
-		sctx := predict.SchemeContext{Prog: prog, Profile: e.Profile, Configs: configs}
+		sctx := predict.SchemeContext{Prog: prog, Profile: e.Profile, Configs: cfg.SchemeConfigs}
 		if sc.Transformed {
 			sctx.Prog = fsRes.Prog
 		}

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"branchcost/internal/compile"
@@ -91,8 +93,10 @@ func TestZeroCounterThresholdExpressible(t *testing.T) {
 	}
 	// Threshold 0 (predict taken for any cached branch) is a meaningful
 	// sweep point; the nil/pointer rule must distinguish it from "unset".
-	zero, err := core.Evaluate("t", prog, testInputs, testInputs,
-		core.Config{CounterThreshold: core.Ptr[uint8](0)})
+	cfg := core.Config{SchemeConfigs: predict.ConfigSet{"cbtb": predict.CBTBConfig{
+		CounterConfig: predict.CounterConfig{Threshold: predict.Ptr[uint8](0)},
+	}}}
+	zero, err := core.Evaluate("t", prog, testInputs, testInputs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,16 +105,29 @@ func TestZeroCounterThresholdExpressible(t *testing.T) {
 		t.Fatal(err)
 	}
 	if zero.CBTB().Stats == dflt.CBTB().Stats {
-		t.Fatal("CounterThreshold: 0 was silently replaced by the default")
+		t.Fatal("cbtb threshold 0 was silently replaced by the default")
 	}
 	c := (core.Config{}).Configs().Resolved("cbtb").(predict.CBTBConfig)
 	if got := c.ThresholdValue(); got != 2 {
 		t.Fatalf("default threshold = %d, want 2", got)
 	}
-	cfg := core.Config{CounterThreshold: core.Ptr[uint8](0)}
 	c = cfg.Configs().Resolved("cbtb").(predict.CBTBConfig)
 	if got := c.ThresholdValue(); got != 0 {
 		t.Fatalf("explicit zero threshold resolved to %d", got)
+	}
+}
+
+// TestBadSchemeConfigIsTypedError: a configuration no predictor can be
+// built from fails the evaluation with predict.ErrBadOption, naming the
+// scheme, before any VM pass — the nil program would crash the first one.
+func TestBadSchemeConfigIsTypedError(t *testing.T) {
+	bad := core.Config{SchemeConfigs: predict.BTBConfigs(64, 0, 0, nil)} // assoc stays 256
+	e, err := core.Evaluate("t", nil, testInputs, testInputs, bad)
+	if e != nil || !errors.Is(err, predict.ErrBadOption) {
+		t.Fatalf("Evaluate = %v, %v; want an ErrBadOption error", e, err)
+	}
+	if want := "cbtb.assoc=256"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %s", err, want)
 	}
 }
 

@@ -35,15 +35,9 @@ type DegradeEvent struct {
 // evaluation ran with — no nil-means-default fields, so two manifests compare
 // byte-for-byte when their runs were configured identically.
 type ManifestConfig struct {
-	SBTBEntries      int      `json:"sbtb_entries"`
-	SBTBAssoc        int      `json:"sbtb_assoc"`
-	CBTBEntries      int      `json:"cbtb_entries"`
-	CBTBAssoc        int      `json:"cbtb_assoc"`
-	CounterBits      int      `json:"counter_bits"`
-	CounterThreshold uint8    `json:"counter_threshold"`
-	EvalSlots        int      `json:"eval_slots"`
-	FlushEvery       int64    `json:"flush_every,omitempty"`
-	Schemes          []string `json:"schemes"`
+	EvalSlots  int      `json:"eval_slots"`
+	FlushEvery int64    `json:"flush_every,omitempty"`
+	Schemes    []string `json:"schemes"`
 
 	// SchemeConfigs is each scored scheme's fully resolved configuration
 	// (predict.DescribeOptions rendering), for schemes that have one.
@@ -102,9 +96,7 @@ func (e *Eval) Manifest() *Manifest {
 		GoVersion: runtime.Version(),
 		CreatedAt: time.Now().UTC(),
 		Config: ManifestConfig{
-			SBTBEntries: cfg.SBTBEntries, SBTBAssoc: cfg.SBTBAssoc,
-			CBTBEntries: cfg.CBTBEntries, CBTBAssoc: cfg.CBTBAssoc,
-			CounterBits: cfg.CounterBits, FlushEvery: cfg.FlushEvery,
+			EvalSlots: *cfg.EvalSlots, FlushEvery: cfg.FlushEvery,
 			Schemes: e.Order,
 		},
 		CorpusKey:  e.CorpusKey,
@@ -117,15 +109,8 @@ func (e *Eval) Manifest() *Manifest {
 		Phases:     e.Phases,
 		Degraded:   e.Degraded,
 	}
-	if cfg.CounterThreshold != nil {
-		m.Config.CounterThreshold = *cfg.CounterThreshold
-	}
-	if cfg.EvalSlots != nil {
-		m.Config.EvalSlots = *cfg.EvalSlots
-	}
-	configs := cfg.Configs()
 	for _, name := range e.Order {
-		if resolved := configs.Resolved(name); resolved != nil {
+		if resolved := cfg.SchemeConfigs.Resolved(name); resolved != nil {
 			if m.Config.SchemeConfigs == nil {
 				m.Config.SchemeConfigs = make(map[string]string)
 			}

@@ -14,6 +14,12 @@ import (
 	"branchcost/internal/workloads"
 )
 
+// The paper's resolved BTB configurations, as the manifest renders them.
+const (
+	paperSBTB = "assoc=256 entries=256"
+	paperCBTB = "assoc=256 bits=2 entries=256 threshold=2"
+)
+
 // TestManifestWarmCorpus is the acceptance scenario: a warm-corpus run with
 // only replayed schemes must produce a manifest showing zero VM runs, the
 // corpus key, per-phase timings, and per-scheme hit/miss counters in the
@@ -63,8 +69,7 @@ func TestManifestWarmCorpus(t *testing.T) {
 			t.Errorf("warm manifest lacks phase %q (has %v)", want, phases)
 		}
 	}
-	if m.Config.SBTBEntries != core.Paper.SBTBEntries ||
-		m.Config.CounterThreshold != *core.Paper.CounterThreshold {
+	if m.Config.SchemeConfigs["sbtb"] != paperSBTB || m.Config.SchemeConfigs["cbtb"] != paperCBTB {
 		t.Fatalf("manifest config not resolved to paper defaults: %+v", m.Config)
 	}
 	for _, name := range []string{"sbtb", "cbtb"} {
@@ -140,8 +145,8 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.Config, m.Config) {
 		t.Fatalf("config lost in round-trip:\nwrote %+v\nread  %+v", m.Config, back.Config)
 	}
-	if back.Config.SBTBEntries != core.Paper.SBTBEntries ||
-		back.Config.CounterThreshold != *core.Paper.CounterThreshold {
+	if back.Config.EvalSlots != 2 || back.Config.SchemeConfigs["sbtb"] != paperSBTB ||
+		back.Config.SchemeConfigs["cbtb"] != paperCBTB {
 		t.Fatalf("decoded config not the resolved paper defaults: %+v", back.Config)
 	}
 	// Per-scheme counters, ratios and the Extra metric maps.

@@ -35,8 +35,7 @@ func CounterSweep(s *Suite, names []string) ([]CounterSweepRow, *stats.Table, er
 		}
 		evs := make([]*predict.Evaluator, len(bitsList))
 		for i, bits := range bitsList {
-			th := uint8(1) << (bits - 1)
-			evs[i] = &predict.Evaluator{P: newScheme("cbtb", e, geometry(256, 256, bits, th))}
+			evs[i] = &predict.Evaluator{P: newScheme("cbtb", e, predict.BTBConfigs(256, 256, bits, nil))}
 		}
 		if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
 			return nil, nil, err
@@ -81,8 +80,8 @@ func SizeSweep(s *Suite, names []string) ([]SizeSweepRow, *stats.Table, error) {
 		var evs []*predict.Evaluator
 		for _, n := range sizes {
 			evs = append(evs,
-				&predict.Evaluator{P: newScheme("sbtb", e, geometry(n, n, 2, 2))},
-				&predict.Evaluator{P: newScheme("cbtb", e, geometry(n, n, 2, 2))})
+				&predict.Evaluator{P: newScheme("sbtb", e, predict.BTBConfigs(n, n, 2, nil))},
+				&predict.Evaluator{P: newScheme("cbtb", e, predict.BTBConfigs(n, n, 2, nil))})
 		}
 		if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
 			return nil, nil, err
@@ -132,8 +131,8 @@ func AssocSweep(s *Suite, names []string) ([]AssocSweepRow, *stats.Table, error)
 		var evs []*predict.Evaluator
 		for _, a := range asss {
 			evs = append(evs,
-				&predict.Evaluator{P: newScheme("sbtb", e, geometry(256, a, 2, 2))},
-				&predict.Evaluator{P: newScheme("cbtb", e, geometry(256, a, 2, 2))})
+				&predict.Evaluator{P: newScheme("sbtb", e, predict.BTBConfigs(256, a, 2, nil))},
+				&predict.Evaluator{P: newScheme("cbtb", e, predict.BTBConfigs(256, a, 2, nil))})
 		}
 		if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
 			return nil, nil, err

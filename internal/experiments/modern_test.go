@@ -5,14 +5,17 @@ import (
 
 	"branchcost/internal/core"
 	"branchcost/internal/experiments"
+	"branchcost/internal/predict"
 	"branchcost/internal/workloads"
 )
 
 // TestModernSuite: the modern-class table covers every registered class
 // member, scores every scheme of the panel, and its fs column agrees with
-// the suite's transformed-binary evaluation (not a bare-trace replay).
+// the suite's transformed-binary evaluation (not a bare-trace replay). Under
+// a non-default BTB geometry its sbtb and cbtb columns equal the suite's
+// own evaluation: both read the one configuration set.
 func TestModernSuite(t *testing.T) {
-	s := experiments.NewSuite(core.Config{})
+	s := experiments.NewSuite(core.Config{SchemeConfigs: predict.BTBConfigs(16, 16, 0, nil)})
 	rows, table, err := experiments.ModernSuite(s)
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +41,10 @@ func TestModernSuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := r.Accuracy["fs"], e.FS().Stats.Accuracy(); got != want {
-			t.Errorf("%s: fs column %v != suite fs %v", b.Name, got, want)
+		for _, scheme := range []string{"sbtb", "cbtb", "fs"} {
+			if got, want := r.Accuracy[scheme], e.Scheme(scheme).Stats.Accuracy(); got != want {
+				t.Errorf("%s: %s column %v != suite %s %v", b.Name, scheme, got, scheme, want)
+			}
 		}
 	}
 }

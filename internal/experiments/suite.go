@@ -551,17 +551,3 @@ func newScheme(name string, e *core.Eval, configs predict.ConfigSet) predict.Pre
 		Prog: e.Program, Profile: e.Profile, Configs: configs,
 	})
 }
-
-// geometry builds the configuration set for a swept BTB configuration
-// (same geometry for both buffers, as the ablation tables use).
-func geometry(entries, assoc, bits int, threshold uint8) predict.ConfigSet {
-	return predict.ConfigSet{
-		"sbtb": predict.SBTBConfig{
-			BTBGeometry: predict.BTBGeometry{Entries: entries, Assoc: assoc},
-		},
-		"cbtb": predict.CBTBConfig{
-			BTBGeometry:   predict.BTBGeometry{Entries: entries, Assoc: assoc},
-			CounterConfig: predict.CounterConfig{Bits: bits, Threshold: predict.Ptr(threshold)},
-		},
-	}
-}

@@ -1,8 +1,6 @@
 package history
 
 import (
-	"fmt"
-
 	"branchcost/internal/predict"
 	"branchcost/internal/vm"
 )
@@ -30,16 +28,14 @@ type GShare struct {
 // 1<<tableLog counter table and the given counter configuration, backed by
 // a targetEntries/targetAssoc target cache.
 func NewGShare(histLen, tableLog, bits int, threshold uint8, targetEntries, targetAssoc int) *GShare {
-	if histLen < 1 || histLen > 32 {
-		panic(fmt.Sprintf("history: gshare history %d out of range [1,32]", histLen))
-	}
-	if tableLog < 1 || tableLog > 30 {
-		panic(fmt.Sprintf("history: gshare table log %d out of range [1,30]", tableLog))
-	}
-	maxC := counterMax(bits, threshold)
+	mustValidate(predict.HistoryConfig{
+		History: histLen, Table: tableLog,
+		CounterConfig: predict.CounterConfig{Bits: bits, Threshold: &threshold},
+		TargetEntries: targetEntries, TargetAssoc: targetAssoc,
+	})
 	return &GShare{
 		histLen: histLen, tableLog: tableLog, bits: bits,
-		max: maxC, threshold: threshold,
+		max: uint8(1)<<bits - 1, threshold: threshold,
 		hmask: lowMask(histLen), tmask: lowMask(tableLog),
 		ctr:   make([]uint8, 1<<uint(tableLog)),
 		cache: newTargetCache(targetEntries, targetAssoc),

@@ -69,17 +69,13 @@ func (t targetCache) metrics() map[string]int64 {
 	}
 }
 
-// counterMax validates an n-bit saturating counter configuration and
-// returns its maximum value, matching btb.NewCBTB's rules.
-func counterMax(bits int, threshold uint8) uint8 {
-	if bits < 1 || bits > 8 {
-		panic("history: counter bits out of range [1,8]")
+// mustValidate panics on a configuration its type's Validate rejects: the
+// evaluation layers validate configs before construction, so only a bug
+// reaches a constructor with one.
+func mustValidate(c interface{ Validate() error }) {
+	if err := c.Validate(); err != nil {
+		panic(err)
 	}
-	maxC := uint8(1)<<bits - 1
-	if threshold > maxC {
-		panic("history: threshold exceeds counter max")
-	}
-	return maxC
 }
 
 // histBit reports bit j (0 = newest) of a global history register.

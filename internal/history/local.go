@@ -1,8 +1,6 @@
 package history
 
 import (
-	"fmt"
-
 	"branchcost/internal/predict"
 	"branchcost/internal/vm"
 )
@@ -32,19 +30,14 @@ type Local struct {
 // NewLocal returns a local predictor with 1<<siteLog history registers of
 // histLen bits and a 1<<tableLog pattern table.
 func NewLocal(histLen, siteLog, tableLog, bits int, threshold uint8, targetEntries, targetAssoc int) *Local {
-	if histLen < 1 || histLen > 32 {
-		panic(fmt.Sprintf("history: local history %d out of range [1,32]", histLen))
-	}
-	if siteLog < 1 || siteLog > 30 {
-		panic(fmt.Sprintf("history: local site log %d out of range [1,30]", siteLog))
-	}
-	if tableLog < 1 || tableLog > 30 {
-		panic(fmt.Sprintf("history: local table log %d out of range [1,30]", tableLog))
-	}
-	maxC := counterMax(bits, threshold)
+	mustValidate(predict.HistoryConfig{
+		History: histLen, Sites: siteLog, Table: tableLog,
+		CounterConfig: predict.CounterConfig{Bits: bits, Threshold: &threshold},
+		TargetEntries: targetEntries, TargetAssoc: targetAssoc,
+	})
 	return &Local{
 		histLen: histLen, siteLog: siteLog, tableLog: tableLog, bits: bits,
-		max: maxC, threshold: threshold,
+		max: uint8(1)<<bits - 1, threshold: threshold,
 		hmask: lowMask(histLen), smask: lowMask(siteLog), tmask: lowMask(tableLog),
 		bht:   make([]uint32, 1<<uint(siteLog)),
 		pht:   make([]uint8, 1<<uint(tableLog)),

@@ -1,8 +1,6 @@
 package history
 
 import (
-	"fmt"
-
 	"branchcost/internal/predict"
 	"branchcost/internal/vm"
 )
@@ -29,15 +27,10 @@ type Perceptron struct {
 // NewPerceptron returns a perceptron predictor with 1<<tableLog rows of
 // histLen+1 weights, each weightBits bits wide (two's complement).
 func NewPerceptron(histLen, tableLog, weightBits, targetEntries, targetAssoc int) *Perceptron {
-	if histLen < 1 || histLen > 32 {
-		panic(fmt.Sprintf("history: perceptron history %d out of range [1,32]", histLen))
-	}
-	if tableLog < 1 || tableLog > 30 {
-		panic(fmt.Sprintf("history: perceptron table log %d out of range [1,30]", tableLog))
-	}
-	if weightBits < 2 || weightBits > 16 {
-		panic(fmt.Sprintf("history: perceptron weight bits %d out of range [2,16]", weightBits))
-	}
+	mustValidate(predict.PerceptronConfig{
+		History: histLen, Table: tableLog, WeightBits: weightBits,
+		TargetEntries: targetEntries, TargetAssoc: targetAssoc,
+	})
 	rows := 1 << uint(tableLog)
 	w := make([][]int32, rows)
 	for i := range w {

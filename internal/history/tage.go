@@ -1,7 +1,6 @@
 package history
 
 import (
-	"fmt"
 	"math"
 
 	"branchcost/internal/predict"
@@ -81,25 +80,11 @@ func GeometricLengths(n, minHist, maxHist int) []int {
 // nTables tagged tables of 1<<tableLog entries. The direction threshold is
 // the counter midpoint; base counters initialize to weakly not-taken.
 func NewTAGE(nTables, baseLog, tableLog, tagBits, minHist, maxHist, bits, uBits int, targetEntries, targetAssoc int) *TAGE {
-	if nTables < 1 || nTables > 16 {
-		panic(fmt.Sprintf("history: tage tables %d out of range [1,16]", nTables))
-	}
-	if baseLog < 1 || baseLog > 30 {
-		panic(fmt.Sprintf("history: tage base log %d out of range [1,30]", baseLog))
-	}
-	if tableLog < 2 || tableLog > 30 {
-		panic(fmt.Sprintf("history: tage table log %d out of range [2,30]", tableLog))
-	}
-	if tagBits < 2 || tagBits > 16 {
-		panic(fmt.Sprintf("history: tage tag bits %d out of range [2,16]", tagBits))
-	}
-	if minHist < 1 || maxHist < minHist || maxHist > 64 {
-		panic(fmt.Sprintf("history: tage history range [%d,%d] invalid (want 1 <= min <= max <= 64)", minHist, maxHist))
-	}
-	if uBits < 1 || uBits > 8 {
-		panic(fmt.Sprintf("history: tage u bits %d out of range [1,8]", uBits))
-	}
-	maxC := counterMax(bits, uint8(1)<<uint(bits-1))
+	mustValidate(predict.TAGEConfig{
+		Tables: nTables, Base: baseLog, Table: tableLog, TagBits: tagBits,
+		MinHist: minHist, MaxHist: maxHist, Bits: bits, UBits: uBits,
+		TargetEntries: targetEntries, TargetAssoc: targetAssoc,
+	})
 	tables := make([][]tageEntry, nTables)
 	for i := range tables {
 		tables[i] = make([]tageEntry, 1<<uint(tableLog))
@@ -109,7 +94,7 @@ func NewTAGE(nTables, baseLog, tableLog, tagBits, minHist, maxHist, bits, uBits 
 		tagBits: tagBits, bits: bits, uBits: uBits,
 		minHist: minHist, maxHist: maxHist,
 		threshold: uint8(1) << uint(bits-1),
-		max:       maxC,
+		max:       uint8(1)<<bits - 1,
 		umax:      uint8(1)<<uint(uBits) - 1,
 		tmask:     lowMask(tableLog),
 		tagmask:   lowMask(tagBits),

@@ -8,11 +8,24 @@ package predict
 // fields whose default depends on other fields (the counter threshold's
 // half-range rule).
 //
-// Default rule, shared with core.Config: fields whose zero value is never
-// valid (table sizes, history lengths, counter widths) are plain ints where
-// 0 means "use the scheme default". Fields whose zero value is meaningful —
-// a counter threshold of 0 is a real sweep point — are pointers where nil
-// means "derive the default"; build them with Ptr.
+// Default rule: fields whose zero value is never valid (table sizes,
+// history lengths, counter widths) are plain ints where 0 means "use the
+// scheme default". Fields whose zero value is meaningful — a counter
+// threshold of 0 is a real sweep point — are pointers where nil means
+// "derive the default"; build them with Ptr.
+//
+// Range rule: every config type's Validate method is the one statement of
+// the values its predictor accepts. ConfigSet.Validate runs it on the
+// resolved configuration before any predictor is built, returning an
+// OptionError; the constructors panic on the same check, since only a bug
+// reaches them with a value Validate rejects.
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sort"
+)
 
 // SchemeConfig is the marker interface every typed scheme configuration
 // implements. Concrete types are plain structs of int and *uint8 fields
@@ -24,12 +37,73 @@ type SchemeConfig interface{ schemeConfig() }
 // predict.CounterConfig{Bits: 2, Threshold: predict.Ptr[uint8](0)}.
 func Ptr[T any](v T) *T { return &v }
 
+// ErrBadOption is wrapped by every error that rejects a scheme
+// configuration: a malformed -scheme-opt, an unknown scheme or key, an
+// override of the wrong type, or a value outside its field's range.
+var ErrBadOption = errors.New("predict: bad scheme option")
+
+// OptionError rejects one configuration field: Key is its option key as
+// -scheme-opt spells it, Value the rejected value and Want the accepted
+// range. Scheme is the registry name, set once ConfigSet.Validate knows it.
+type OptionError struct {
+	Scheme string
+	Key    string
+	Value  int
+	Want   string
+}
+
+func (e *OptionError) Error() string {
+	key := e.Key
+	if e.Scheme != "" {
+		key = e.Scheme + "." + key
+	}
+	return fmt.Sprintf("%v %s=%d (want %s)", ErrBadOption, key, e.Value, e.Want)
+}
+
+// Unwrap makes errors.Is(err, ErrBadOption) hold.
+func (e *OptionError) Unwrap() error { return ErrBadOption }
+
+// inRange is the rule lo <= v <= hi for the field named key.
+func inRange(key string, v, lo, hi int) error {
+	if v < lo || v > hi {
+		return &OptionError{Key: key, Value: v, Want: fmt.Sprintf("[%d,%d]", lo, hi)}
+	}
+	return nil
+}
+
+// checkGeometry is the buffer-shape rule: at least one entry, split into
+// whole sets of assoc ways.
+func checkGeometry(prefix string, entries, assoc int) error {
+	if entries < 1 {
+		return &OptionError{Key: prefix + "entries", Value: entries, Want: ">= 1"}
+	}
+	if assoc < 1 || entries%assoc != 0 {
+		return &OptionError{Key: prefix + "assoc", Value: assoc,
+			Want: fmt.Sprintf("a divisor of %sentries=%d", prefix, entries)}
+	}
+	return nil
+}
+
+// firstErr returns the first non-nil error, so a Validate method reports
+// the first field that breaks its rule.
+func firstErr(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // BTBGeometry is the shared buffer shape: total entries and associativity
 // (Assoc == Entries is the paper's fully-associative organization).
 type BTBGeometry struct {
 	Entries int `opt:"entries"`
 	Assoc   int `opt:"assoc"`
 }
+
+// Validate checks the buffer shape.
+func (g BTBGeometry) Validate() error { return checkGeometry("", g.Entries, g.Assoc) }
 
 // CounterConfig is the shared n-bit saturating counter: predicted taken
 // when counter >= Threshold. A nil Threshold resolves to half the counter
@@ -54,6 +128,17 @@ func (c CounterConfig) ThresholdValue() uint8 {
 	return *c.fill().Threshold
 }
 
+// Validate checks the counter width and, when set, the threshold.
+func (c CounterConfig) Validate() error {
+	if err := inRange("bits", c.Bits, 1, 8); err != nil {
+		return err
+	}
+	if c.Threshold == nil {
+		return nil
+	}
+	return inRange("threshold", int(*c.Threshold), 0, 1<<c.Bits-1)
+}
+
 // SBTBConfig configures the Simple Branch Target Buffer scheme ("sbtb").
 type SBTBConfig struct {
 	BTBGeometry
@@ -68,6 +153,11 @@ type CBTBConfig struct {
 }
 
 func (CBTBConfig) schemeConfig() {}
+
+// Validate checks the buffer shape and the counter.
+func (c CBTBConfig) Validate() error {
+	return firstErr(c.BTBGeometry.Validate(), c.CounterConfig.Validate())
+}
 
 func (c CBTBConfig) normalize() SchemeConfig {
 	c.CounterConfig = c.CounterConfig.fill()
@@ -85,6 +175,14 @@ type TwoLevelConfig struct {
 }
 
 func (TwoLevelConfig) schemeConfig() {}
+
+// Validate checks both levels' shapes and the counter.
+func (c TwoLevelConfig) Validate() error {
+	return firstErr(
+		checkGeometry("l1-", c.L1Entries, c.L1Assoc),
+		checkGeometry("l2-", c.L2Entries, c.L2Assoc),
+		c.CounterConfig.Validate())
+}
 
 func (c TwoLevelConfig) normalize() SchemeConfig {
 	c.CounterConfig = c.CounterConfig.fill()
@@ -108,6 +206,18 @@ type HistoryConfig struct {
 
 func (HistoryConfig) schemeConfig() {}
 
+// Validate checks the history and table sizes, the counter and the target
+// cache. Sites may be 0: gshare leaves it unset, and for local it means one
+// history register shared by every site.
+func (c HistoryConfig) Validate() error {
+	return firstErr(
+		inRange("history", c.History, 1, 32),
+		inRange("sites", c.Sites, 0, 30),
+		inRange("table", c.Table, 1, 30),
+		c.CounterConfig.Validate(),
+		checkGeometry("target-", c.TargetEntries, c.TargetAssoc))
+}
+
 func (c HistoryConfig) normalize() SchemeConfig {
 	c.CounterConfig = c.CounterConfig.fill()
 	return c
@@ -125,6 +235,15 @@ type PerceptronConfig struct {
 }
 
 func (PerceptronConfig) schemeConfig() {}
+
+// Validate checks the history, table and weight sizes and the target cache.
+func (c PerceptronConfig) Validate() error {
+	return firstErr(
+		inRange("history", c.History, 1, 32),
+		inRange("table", c.Table, 1, 30),
+		inRange("weight-bits", c.WeightBits, 2, 16),
+		checkGeometry("target-", c.TargetEntries, c.TargetAssoc))
+}
 
 // TAGEConfig configures the TAGE scheme: a 1<<Base bimodal base table and
 // Tables tagged tables of 1<<Table entries each, with history lengths
@@ -145,6 +264,21 @@ type TAGEConfig struct {
 }
 
 func (TAGEConfig) schemeConfig() {}
+
+// Validate checks the table counts and sizes, the history range, the
+// counter widths and the target cache.
+func (c TAGEConfig) Validate() error {
+	return firstErr(
+		inRange("tables", c.Tables, 1, 16),
+		inRange("base", c.Base, 1, 30),
+		inRange("table", c.Table, 2, 30),
+		inRange("tag", c.TagBits, 2, 16),
+		inRange("min-hist", c.MinHist, 1, 64),
+		inRange("max-hist", c.MaxHist, c.MinHist, 64),
+		inRange("bits", c.Bits, 1, 8),
+		inRange("ubits", c.UBits, 1, 8),
+		checkGeometry("target-", c.TargetEntries, c.TargetAssoc))
+}
 
 // normalizer lets a config type fill fields whose default depends on other
 // fields, after defaults and overrides have merged.
@@ -169,6 +303,43 @@ func (cs ConfigSet) Resolved(name string) SchemeConfig {
 		merged = n.normalize()
 	}
 	return merged
+}
+
+// Validate checks every scheme the set configures: the scheme must be
+// registered and take options, its override must have the scheme's config
+// type, and the resolved configuration must pass the type's Validate.
+// Schemes the set leaves out resolve to their registry defaults. Errors
+// wrap ErrBadOption and name the scheme; the first one in name order wins.
+func (cs ConfigSet) Validate() error {
+	names := make([]string, 0, len(cs))
+	for n := range cs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		sc, ok := Lookup(n)
+		switch {
+		case !ok:
+			return fmt.Errorf("%w: unknown scheme %q", ErrBadOption, n)
+		case sc.Defaults == nil:
+			return fmt.Errorf("%w: scheme %q takes no options", ErrBadOption, n)
+		case cs[n] != nil && reflect.TypeOf(cs[n]) != reflect.TypeOf(sc.Defaults()):
+			return fmt.Errorf("%w: scheme %q configured with %T, want %T",
+				ErrBadOption, n, cs[n], sc.Defaults())
+		}
+		v, ok := cs.Resolved(n).(interface{ Validate() error })
+		if !ok {
+			continue
+		}
+		if err := v.Validate(); err != nil {
+			var oe *OptionError
+			if errors.As(err, &oe) {
+				oe.Scheme = n
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // MergeSets layers over on top of base, merging per-field where both sets

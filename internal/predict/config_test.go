@@ -1,6 +1,8 @@
 package predict_test
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -134,5 +136,115 @@ func TestDescribeOptionsStable(t *testing.T) {
 	})
 	if !strings.Contains(unresolved, "threshold=auto") {
 		t.Errorf("nil threshold rendered as %q, want threshold=auto", unresolved)
+	}
+}
+
+// TestFlagConfigs: the CLIs' -entries/-assoc/-bits/-threshold shorthand and
+// their -scheme-opt overrides resolve through one mapping. want lists the
+// schemes whose resolved configuration differs from a nil set's; every
+// other registered scheme must resolve exactly as a nil set does.
+func TestFlagConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name                         string
+		entries, assoc, bits, thresh int
+		opts                         []string
+		want                         map[string]string
+	}{
+		{name: "default flags", entries: 256, assoc: 256, bits: 2, thresh: -1},
+		{name: "bits 3 sets cbtb only, threshold at the midpoint", entries: 256, assoc: 256, bits: 3, thresh: -1,
+			want: map[string]string{"cbtb": "assoc=256 bits=3 entries=256 threshold=4"}},
+		{name: "threshold 0 stays an explicit 0", entries: 256, assoc: 256, bits: 2, thresh: 0,
+			want: map[string]string{"cbtb": "assoc=256 bits=2 entries=256 threshold=0"}},
+		{name: "geometry shapes both buffers", entries: 16, assoc: 16, bits: 2, thresh: -1,
+			want: map[string]string{"sbtb": "assoc=16 entries=16", "cbtb": "assoc=16 bits=2 entries=16 threshold=2"}},
+		{name: "scheme-opt wins over the shorthand", entries: 64, assoc: 4, bits: 3, thresh: 1,
+			opts: []string{"cbtb.entries=32", "cbtb.threshold=5", "sbtb.assoc=2", "tage.tables=5"},
+			want: map[string]string{
+				"sbtb": "assoc=2 entries=64",
+				"cbtb": "assoc=4 bits=3 entries=32 threshold=5",
+				"tage": "base=11 bits=3 max-hist=64 min-hist=4 table=9 tables=5 tag=8 target-assoc=256 target-entries=256 ubits=2",
+			}},
+	} {
+		cs, err := predict.FlagConfigs(tc.entries, tc.assoc, tc.bits, tc.thresh, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, n := range predict.Names() {
+			want, ok := tc.want[n]
+			if !ok {
+				want = predict.DescribeOptions(predict.ConfigSet(nil).Resolved(n))
+			}
+			if got := predict.DescribeOptions(cs.Resolved(n)); got != want {
+				t.Errorf("%s: %s resolved to %q, want %q", tc.name, n, got, want)
+			}
+		}
+	}
+}
+
+// TestFlagConfigsRejects: a configuration no predictor can be built from
+// fails at parse time with an error that wraps ErrBadOption and names the
+// scheme, the key and the accepted range — never a constructor panic.
+func TestFlagConfigsRejects(t *testing.T) {
+	for _, tc := range []struct {
+		entries, thresh int
+		opt             string
+		want            string
+	}{
+		{opt: "sbtb.assoc=300", want: "sbtb.assoc=300 (want a divisor of entries=256)"},
+		{opt: "sbtb.entries=3", want: "sbtb.assoc=256 (want a divisor of entries=3)"},
+		{opt: "sbtb.entries=-4", want: "sbtb.entries=-4 (want >= 1)"},
+		{opt: "cbtb.bits=9", want: "cbtb.bits=9 (want [1,8])"},
+		{opt: "cbtb.bits=64", want: "cbtb.bits=64 (want [1,8])"},
+		{opt: "cbtb.threshold=9", want: "cbtb.threshold=9 (want [0,3])"},
+		{opt: "tage.table=40", want: "tage.table=40 (want [2,30])"},
+		{opt: "tage.max-hist=2", want: "tage.max-hist=2 (want [4,64])"},
+		{opt: "perceptron.weight-bits=1", want: "perceptron.weight-bits=1 (want [2,16])"},
+		{opt: "gshare.history=40", want: "gshare.history=40 (want [1,32])"},
+		{opt: "btb2l.l2-assoc=3", want: "btb2l.l2-assoc=3 (want a divisor of l2-entries=1024)"},
+		{opt: "cbtb.threshold=300", want: `threshold="300" (want an integer in [0,255])`},
+		{opt: "local.sites=31", want: "local.sites=31 (want [0,30])"},
+		{entries: 64, want: "cbtb.assoc=256 (want a divisor of entries=64)"},
+		{thresh: 300, want: "cbtb.threshold=300 (want [0,255])"},
+	} {
+		entries, thresh := 256, -1
+		if tc.entries != 0 {
+			entries = tc.entries
+		}
+		if tc.thresh != 0 {
+			thresh = tc.thresh
+		}
+		var opts []string
+		if tc.opt != "" {
+			opts = []string{tc.opt}
+		}
+		_, err := predict.FlagConfigs(entries, 256, 2, thresh, opts)
+		if !errors.Is(err, predict.ErrBadOption) || !strings.Contains(fmt.Sprint(err), tc.want) {
+			t.Errorf("%q (entries %d, threshold %d): err %v, want ErrBadOption naming %q",
+				tc.opt, entries, thresh, err, tc.want)
+		}
+	}
+}
+
+// TestConfigSetValidate: every registry default passes its own range
+// rules, and a set the registry cannot resolve is a typed error.
+func TestConfigSetValidate(t *testing.T) {
+	all := predict.ConfigSet{}
+	for _, n := range configurableSchemes {
+		all[n] = predict.MustLookup(n).Defaults()
+	}
+	if err := all.Validate(); err != nil {
+		t.Fatalf("registry defaults rejected: %v", err)
+	}
+	if err := predict.ConfigSet(nil).Validate(); err != nil {
+		t.Fatalf("nil set rejected: %v", err)
+	}
+	for name, cs := range map[string]predict.ConfigSet{
+		"unknown scheme":  {"no-such-scheme": predict.SBTBConfig{}},
+		"takes no config": {"fs": predict.SBTBConfig{}},
+		"wrong type":      {"sbtb": predict.CBTBConfig{}},
+	} {
+		if err := cs.Validate(); !errors.Is(err, predict.ErrBadOption) {
+			t.Errorf("%s: err %v, want ErrBadOption", name, err)
+		}
 	}
 }

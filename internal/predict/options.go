@@ -87,10 +87,10 @@ func DescribeOptions(c SchemeConfig) string {
 
 // SetOption returns a copy of c with the field tagged key set to the parsed
 // value. Unknown keys error with the valid key list; parse failures name
-// the offending value.
+// the offending value. Errors wrap ErrBadOption.
 func SetOption(c SchemeConfig, key, value string) (SchemeConfig, error) {
 	if c == nil {
-		return nil, fmt.Errorf("predict: scheme takes no options")
+		return nil, fmt.Errorf("%w: scheme takes no options", ErrBadOption)
 	}
 	cp := reflect.New(reflect.TypeOf(c)).Elem()
 	cp.Set(reflect.ValueOf(c))
@@ -103,20 +103,20 @@ func SetOption(c SchemeConfig, key, value string) (SchemeConfig, error) {
 		case reflect.Ptr: // *uint8
 			n, err := strconv.ParseUint(value, 10, 8)
 			if err != nil {
-				return nil, fmt.Errorf("predict: option %s=%q: want an integer in [0,255]", key, value)
+				return nil, fmt.Errorf("%w %s=%q (want an integer in [0,255])", ErrBadOption, key, value)
 			}
 			fv.Set(reflect.ValueOf(Ptr(uint8(n))))
 		default: // int
 			n, err := strconv.Atoi(value)
 			if err != nil {
-				return nil, fmt.Errorf("predict: option %s=%q: want an integer", key, value)
+				return nil, fmt.Errorf("%w %s=%q (want an integer)", ErrBadOption, key, value)
 			}
 			fv.SetInt(int64(n))
 		}
 		return cp.Interface().(SchemeConfig), nil
 	}
-	return nil, fmt.Errorf("predict: unknown option %q (valid keys: %s)",
-		key, strings.Join(OptionKeys(c), ", "))
+	return nil, fmt.Errorf("%w: unknown key %q (valid keys: %s)",
+		ErrBadOption, key, strings.Join(OptionKeys(c), ", "))
 }
 
 // Merge layers override's set fields (non-zero ints, non-nil pointers) over
@@ -155,7 +155,8 @@ func Merge(base, override SchemeConfig) SchemeConfig {
 // ParseOptions parses repeated -scheme-opt arguments of the form
 // name.key=value into a ConfigSet of partial overrides. The scheme must be
 // registered and declare a Defaults configuration; unknown schemes and keys
-// error with the valid alternatives spelled out.
+// error with the valid alternatives spelled out. Errors wrap ErrBadOption;
+// value ranges are left to ConfigSet.Validate.
 func ParseOptions(opts []string) (ConfigSet, error) {
 	if len(opts) == 0 {
 		return nil, nil
@@ -164,19 +165,19 @@ func ParseOptions(opts []string) (ConfigSet, error) {
 	for _, o := range opts {
 		name, rest, ok := strings.Cut(o, ".")
 		if !ok || name == "" {
-			return nil, fmt.Errorf("predict: bad scheme option %q (want name.key=value)", o)
+			return nil, fmt.Errorf("%w %q (want name.key=value)", ErrBadOption, o)
 		}
 		key, value, ok := strings.Cut(rest, "=")
 		if !ok || key == "" {
-			return nil, fmt.Errorf("predict: bad scheme option %q (want name.key=value)", o)
+			return nil, fmt.Errorf("%w %q (want name.key=value)", ErrBadOption, o)
 		}
 		sc, found := Lookup(name)
 		if !found {
-			return nil, fmt.Errorf("predict: unknown scheme %q in option %q (registered: %s)",
-				name, o, strings.Join(SortedNames(), ", "))
+			return nil, fmt.Errorf("%w %q: unknown scheme %q (registered: %s)",
+				ErrBadOption, o, name, strings.Join(SortedNames(), ", "))
 		}
 		if sc.Defaults == nil {
-			return nil, fmt.Errorf("predict: scheme %q takes no options", name)
+			return nil, fmt.Errorf("%w %q: scheme %q takes no options", ErrBadOption, o, name)
 		}
 		cur := cs[name]
 		if cur == nil {
@@ -190,6 +191,43 @@ func ParseOptions(opts []string) (ConfigSet, error) {
 			return nil, fmt.Errorf("%w (scheme %q)", err, name)
 		}
 		cs[name] = next
+	}
+	return cs, nil
+}
+
+// BTBConfigs is the one mapping from the flat BTB knobs — the CLIs'
+// -entries/-assoc/-bits/-threshold shorthand and the ablation sweeps'
+// points — to typed overrides: entries and assoc shape both sbtb and cbtb,
+// bits and threshold configure cbtb's counter only. Zero ints and a nil
+// threshold keep the scheme defaults (a nil threshold resolves to the
+// counter midpoint), so BTBConfigs(0, 0, 0, nil) resolves like a nil set.
+func BTBConfigs(entries, assoc, bits int, threshold *uint8) ConfigSet {
+	geom := BTBGeometry{Entries: entries, Assoc: assoc}
+	return ConfigSet{
+		"sbtb": SBTBConfig{BTBGeometry: geom},
+		"cbtb": CBTBConfig{BTBGeometry: geom, CounterConfig: CounterConfig{Bits: bits, Threshold: threshold}},
+	}
+}
+
+// FlagConfigs builds a CLI's configuration set: the BTBConfigs shorthand
+// (a negative threshold means the counter midpoint), overridden by the
+// -scheme-opt name.key=value options, then validated. Every error wraps
+// ErrBadOption.
+func FlagConfigs(entries, assoc, bits, threshold int, opts []string) (ConfigSet, error) {
+	if threshold > 255 {
+		return nil, &OptionError{Scheme: "cbtb", Key: "threshold", Value: threshold, Want: "[0,255]"}
+	}
+	var th *uint8
+	if threshold >= 0 {
+		th = Ptr(uint8(threshold))
+	}
+	over, err := ParseOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	cs := MergeSets(BTBConfigs(entries, assoc, bits, th), over)
+	if err := cs.Validate(); err != nil {
+		return nil, err
 	}
 	return cs, nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"branchcost/internal/core"
 	"branchcost/internal/corpus"
+	"branchcost/internal/predict"
 	"branchcost/internal/serve"
 	"branchcost/internal/telemetry"
 	"branchcost/internal/tracefile"
@@ -394,6 +396,58 @@ func TestServePanicIsStructured500(t *testing.T) {
 	// The daemon survived: a healthy benchmark still evaluates.
 	if w := do(s, httptest.NewRequest("POST", "/eval?benchmark=wc", nil)); w.Code != http.StatusOK {
 		t.Fatalf("eval after panic = %d, body %s", w.Code, w.Body)
+	}
+}
+
+// TestServeEvalMatchesUpload: under a non-default BTB geometry in
+// Core.SchemeConfigs, evaluating wc by name and uploading wc's full BCT2
+// trace configure their predictors from the same set and score alike. The
+// buffers are direct-mapped: wc has 16 branch sites, so a 16-entry fully
+// associative buffer would score exactly like the paper's 256 entries.
+func TestServeEvalMatchesUpload(t *testing.T) {
+	s := testServer(t, func(c *serve.Config) { c.Core.SchemeConfigs = predict.BTBConfigs(16, 1, 0, nil) })
+	b, err := workloads.ByName("wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := b.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracefile.Record(prog, b.Inputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	scores := func(w *httptest.ResponseRecorder) map[string]any {
+		t.Helper()
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d, body %s", w.Code, w.Body)
+		}
+		out := map[string]any{}
+		for _, m := range ndjsonLines(t, w.Body) {
+			switch m["kind"] {
+			case "scheme":
+				delete(m, "extra") // buffer metrics ride benchmark evaluations only
+				out[m["scheme"].(string)] = m
+			case "manifest":
+				out["configs"] = m["manifest"].(map[string]any)["config"].(map[string]any)["scheme_configs"]
+			}
+		}
+		return out
+	}
+	eval := scores(do(s, httptest.NewRequest("POST", "/eval?benchmark=wc", nil)))
+	upload := scores(do(s, httptest.NewRequest("POST", "/eval?schemes=sbtb,cbtb", bytes.NewReader(buf.Bytes()))))
+	want := map[string]any{"cbtb": "assoc=1 bits=2 entries=16 threshold=2", "sbtb": "assoc=1 entries=16"}
+	if !reflect.DeepEqual(eval["configs"], want) {
+		t.Fatalf("evaluation ran with %v, want %v", eval["configs"], want)
+	}
+	delete(eval, "configs")
+	if len(eval) != 2 || !reflect.DeepEqual(eval, upload) {
+		t.Fatalf("scores differ:\n/eval?benchmark=wc %v\nupload %v", eval, upload)
 	}
 }
 
