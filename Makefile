@@ -142,13 +142,12 @@ ablations:
 	         frontend pareto; do \
 		$(GO) run ./cmd/branchsim -ablate $$a; done
 
-# Fuzzing: the language front end, both trace-file decoders, and the scheme
+# Fuzzing: the language front end, the BCT2 trace decoder, and the scheme
 # option space (rejected with a typed error, or built and oracle-checked).
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/lang
 	$(GO) test -fuzz FuzzInterp -fuzztime $(FUZZTIME) ./internal/lang
-	$(GO) test -fuzz FuzzBCT1Decode -fuzztime $(FUZZTIME) ./internal/tracefile
 	$(GO) test -fuzz FuzzBCT2Decode -fuzztime $(FUZZTIME) ./internal/tracefile
 	$(GO) test -fuzz FuzzSchemeOptions -fuzztime $(FUZZTIME) ./internal/oracle
 

@@ -7,6 +7,7 @@ package branchcost_test
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -362,7 +363,7 @@ func BenchmarkAsmRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceReplay measures trace-file decode + evaluator throughput.
+// BenchmarkTraceReplay measures BCT2 decode + evaluator throughput.
 func BenchmarkTraceReplay(b *testing.B) {
 	bench, err := workloads.ByName("wc")
 	if err != nil {
@@ -372,8 +373,8 @@ func BenchmarkTraceReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf seekBuffer
-	tw, err := tracefile.NewWriter(&buf)
+	var buf bytes.Buffer
+	tw, err := tracefile.NewBCT2Writer(&buf)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -387,48 +388,19 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := tracefile.NewReader(bytes.NewReader(data))
+		d, err := tracefile.NewBCT2Reader(bytes.NewReader(data))
 		if err != nil {
 			b.Fatal(err)
 		}
 		ev := &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2)}
-		if err := tr.Replay(ev.Hook()); err != nil {
+		if err := tracefile.ScoreStream(context.Background(), d, ev.Hook()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// seekBuffer is an in-memory io.WriteSeeker for the trace bench.
-type seekBuffer struct {
-	data []byte
-	at   int
-}
-
-func (s *seekBuffer) Write(p []byte) (int, error) {
-	if s.at+len(p) > len(s.data) {
-		s.data = append(s.data, make([]byte, s.at+len(p)-len(s.data))...)
-	}
-	copy(s.data[s.at:], p)
-	s.at += len(p)
-	return len(p), nil
-}
-
-func (s *seekBuffer) Seek(off int64, whence int) (int64, error) {
-	switch whence {
-	case 0:
-		s.at = int(off)
-	case 1:
-		s.at += int(off)
-	case 2:
-		s.at = len(s.data) + int(off)
-	}
-	return int64(s.at), nil
-}
-
-func (s *seekBuffer) Bytes() []byte { return s.data }
-
 // BenchmarkPipesim measures the stage-level simulator over one benchmark
-// run at width 4.
+// run at width 4, observing the CBTB's evaluator.
 func BenchmarkPipesim(b *testing.B) {
 	bench, err := workloads.ByName("wc")
 	if err != nil {
@@ -441,9 +413,9 @@ func BenchmarkPipesim(b *testing.B) {
 	in := bench.Input(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim := pipesim.New(4, 1, 2, 2, btb.NewCBTB(256, 256, 2, 2))
-		cfg := vm.Config{Trace: sim.Step}
-		if _, err := vm.Run(prog, in, sim.Hook(), cfg); err != nil {
+		sim := pipesim.New(4, 1, 2, 2)
+		ev := &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2), Obs: sim}
+		if _, err := vm.Run(prog, in, ev.Hook(), vm.Config{Trace: sim.Step}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -213,8 +213,8 @@ type Eval = core.Eval
 type SchemeResult = core.SchemeResult
 
 // Trace is the recorded branch-event stream an evaluation replays; it can
-// be replayed again (Replay, ScoreParallel) or serialized (WriteTo /
-// WriteTrace).
+// be replayed again (Replay, ScoreParallelContext) or serialized in the
+// BCT2 encoding (WriteTo / WriteTrace).
 type Trace = tracefile.Trace
 
 // RecordTrace executes the program over the input suite and returns the
@@ -230,8 +230,8 @@ func WriteTrace(w io.Writer, t *Trace) error {
 	return err
 }
 
-// ReadTrace materializes a trace from r, accepting both the BCT1 and BCT2
-// encodings (dispatched on the file magic).
+// ReadTrace materializes a BCT2 trace from r; any other stream, a file in
+// the retired BCT1 encoding included, fails with a bad-magic error.
 func ReadTrace(r io.Reader) (*Trace, error) { return tracefile.ReadTrace(r) }
 
 // Corpus is the disk-backed trace store: entries are keyed by a content

@@ -1,7 +1,7 @@
 // Command branchcostd is the branch-cost evaluation daemon: the
 // experiments.Suite engine behind cmd/branchsim, long-running and behind
 // HTTP. Clients POST evaluation requests — a registered benchmark name, or
-// an uploaded BCT1/BCT2 trace — and receive per-scheme scores and the run
+// an uploaded BCT2 trace — and receive per-scheme scores and the run
 // manifest as a newline-delimited JSON stream.
 //
 // Usage:

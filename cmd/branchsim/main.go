@@ -304,7 +304,7 @@ func main() {
 			return render(t, err)
 		},
 		"static": func() (string, error) { _, t, err := experiments.StaticSchemes(suite, names); return render(t, err) },
-		"cycle":  func() (string, error) { _, t, err := experiments.CycleCheck(names); return render(t, err) },
+		"cycle":  func() (string, error) { _, t, err := experiments.CycleCheck(suite, names); return render(t, err) },
 		"scaling": func() (string, error) {
 			_, t, err := experiments.Scaling(suite)
 			return render(t, err)

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	btrace -record -bench grep -o grep.bt      # record a benchmark (BCT2)
-//	btrace -record -format bct1 -o g.bt ...    # record in the legacy format
 //	btrace -record -o prog.bt prog.mc          # record an MC program (empty input)
 //	btrace grep.bt                             # replay through every context-free scheme
 //	btrace -scheme cbtb -entries 64 -assoc 4 grep.bt  # one scheme, custom geometry
@@ -13,7 +12,7 @@
 //	btrace -frontend -width 1,2,4,8 grep.bt    # trace-driven frontend cost report
 //	btrace -explain -topk 10 grep.bt           # per-scheme mispredict forensics
 //	btrace -explain-json attr.json grep.bt     # ... full attribution report as JSON
-//	btrace -inspect grep.bt                    # format, blocks, sites, events
+//	btrace -inspect grep.bt                    # blocks, sites, events
 //	btrace -verify grep.bt                     # differential check vs the oracle models
 //	btrace -ls                                 # list schemes, default configs, storage bits
 //	btrace -corpus DIR -record-suite           # record-or-load all benchmarks into DIR
@@ -39,8 +38,8 @@
 // -corpus defaults to $BRANCHCOST_CORPUS. Replay draws its schemes from the
 // registry: every registered scheme that needs neither the program (for
 // static targets) nor a transformed binary can score a standalone trace.
-// BCT2 traces replay as a block stream (decode overlapped with scoring,
-// memory bounded by a few blocks); BCT1 traces are materialized first.
+// Traces are BCT2 files and replay as a block stream (decode overlapped with
+// scoring, memory bounded by a few blocks).
 package main
 
 import (
@@ -76,7 +75,6 @@ func main() {
 		record      = flag.Bool("record", false, "record a trace instead of replaying")
 		bench       = flag.String("bench", "", "benchmark to record")
 		out         = flag.String("o", "trace.bt", "output path when recording")
-		format      = flag.String("format", "bct2", "recording format: bct1|bct2")
 		inspect     = flag.Bool("inspect", false, "describe a trace file instead of replaying")
 		verify      = flag.Bool("verify", false, "differentially verify schemes against the oracle (one trace file, or the whole -corpus)")
 		corpusDir   = flag.String("corpus", os.Getenv(corpus.EnvVar), "corpus directory (default $BRANCHCOST_CORPUS)")
@@ -135,7 +133,7 @@ func main() {
 	case *list:
 		doListSchemes(configs)
 	case *record:
-		doRecord(ctx, *bench, *out, *format, flag.Args(), *deadline, *maxSteps)
+		doRecord(ctx, *bench, *out, flag.Args(), *deadline, *maxSteps)
 	case *inspect:
 		if flag.NArg() != 1 {
 			fail(fmt.Errorf("-inspect needs one trace file"))
@@ -192,19 +190,7 @@ func doListSchemes(configs predict.ConfigSet) {
 	}
 }
 
-func traceFormat(f string) tracefile.Format {
-	switch f {
-	case "bct1":
-		return tracefile.FormatBCT1
-	case "bct2":
-		return tracefile.FormatBCT2
-	}
-	fail(fmt.Errorf("unknown format %q (bct1|bct2)", f))
-	panic("unreachable")
-}
-
-func doRecord(ctx context.Context, bench, out, format string, srcPaths []string, deadline time.Duration, maxSteps int64) {
-	f := traceFormat(format)
+func doRecord(ctx context.Context, bench, out string, srcPaths []string, deadline time.Duration, maxSteps int64) {
 	var prog *branchcost.Program
 	var inputs [][]byte
 	switch {
@@ -251,15 +237,15 @@ func doRecord(ctx context.Context, bench, out, format string, srcPaths []string,
 	}
 	defer of.Close()
 	bw := bufio.NewWriterSize(of, 1<<20)
-	n, err := t.WriteFormat(bw, f)
+	n, err := t.WriteTo(bw)
 	if err == nil {
 		err = bw.Flush()
 	}
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("recorded %d branch events (%d instructions, %d runs) to %s (%s, %d bytes)\n",
-		t.Len(), t.Steps, t.Runs, out, f, n)
+	fmt.Printf("recorded %d branch events (%d instructions, %d runs) to %s (BCT2, %d bytes)\n",
+		t.Len(), t.Steps, t.Runs, out, n)
 }
 
 func openCorpus(dir string) *corpus.Store {
@@ -373,38 +359,21 @@ func doInspect(ctx context.Context, path string) {
 		fail(err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	m, err := br.Peek(4)
+	d, err := tracefile.NewBCT2Reader(bufio.NewReaderSize(f, 1<<20))
 	if err != nil {
 		fail(err)
 	}
-	switch string(m) {
-	case "BCT2":
-		d, err := tracefile.NewBCT2Reader(br)
-		if err != nil {
-			fail(err)
-		}
-		d.Instrument(telemetry.FromContext(ctx))
-		for {
-			if _, err := d.NextBlock(nil); err != nil {
-				if !errors.Is(err, io.EOF) {
-					fail(err)
-				}
-				break
+	d.Instrument(telemetry.FromContext(ctx))
+	for {
+		if _, err := d.NextBlock(nil); err != nil {
+			if !errors.Is(err, io.EOF) {
+				fail(err)
 			}
+			break
 		}
-		fmt.Printf("%s: BCT2, %d events, %d sites, %d blocks, %d bytes, %d instructions, %d runs\n",
-			path, d.Events(), d.Sites(), d.Blocks(), d.Offset(), d.Steps(), d.Runs())
-	case "BCT1":
-		tr, err := tracefile.NewReader(br)
-		if err != nil {
-			fail(err)
-		}
-		st, _ := f.Stat()
-		fmt.Printf("%s: BCT1, %d events, %d bytes\n", path, tr.Remaining(), st.Size())
-	default:
-		fail(tracefile.ErrBadMagic)
 	}
+	fmt.Printf("%s: BCT2, %d events, %d sites, %d blocks, %d bytes, %d instructions, %d runs\n",
+		path, d.Events(), d.Sites(), d.Blocks(), d.Offset(), d.Steps(), d.Runs())
 }
 
 // printVerdicts renders one trace's verification outcomes, returning how
@@ -534,56 +503,41 @@ func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSe
 		fail(err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	// -frontend: one trace-fed pipeline simulator per (scheme, width) rides
+	// the same replay, observing the scheme's evaluator.
+	const fk, fl, fm = 1, 2, 2
 	evals := make([]*predict.Evaluator, len(names))
 	hooks := make([]vm.BranchFunc, len(names))
 	recs := make([]*attr.Recorder, len(names))
+	sims := make(map[string]map[int]*pipesim.Sim, len(names))
 	for i, n := range names {
-		evals[i] = &predict.Evaluator{P: predict.MustLookup(n).New(predict.SchemeContext{Configs: configs})}
+		var obs predict.Observers
 		if explain != nil {
 			// One recorder per evaluator: the replay engine runs each hook
 			// on one goroutine at a time, so the single-goroutine recorder
 			// rides its evaluator safely.
 			recs[i] = attr.NewRecorder(explain.opts)
-			evals[i].Obs = recs[i]
+			obs = append(obs, recs[i])
+		}
+		sims[n] = make(map[int]*pipesim.Sim, len(widths))
+		for _, w := range widths {
+			sim := pipesim.New(w, fk, fl, fm)
+			sims[n][w] = sim
+			obs = append(obs, sim.TraceObserver())
+		}
+		evals[i] = &predict.Evaluator{P: predict.MustLookup(n).New(predict.SchemeContext{Configs: configs})}
+		if len(obs) > 0 {
+			evals[i].Obs = obs
 		}
 		hooks[i] = evals[i].Hook()
 	}
-	// -frontend: one trace-fed pipeline simulator per (scheme, width) rides
-	// the same replay — each with its own predictor instance, since the
-	// evaluators above are also stateful.
-	const fk, fl, fm = 1, 2, 2
-	sims := make(map[string]map[int]*pipesim.Sim, len(names))
-	for _, n := range names {
-		sims[n] = make(map[int]*pipesim.Sim, len(widths))
-		for _, w := range widths {
-			p := predict.MustLookup(n).New(predict.SchemeContext{Configs: configs})
-			sim := pipesim.New(w, fk, fl, fm, p)
-			sims[n][w] = sim
-			hooks = append(hooks, sim.TraceHook())
-		}
-	}
-	m, err := br.Peek(4)
+	// Stream: blocks decode once and fan out, nothing is materialized.
+	d, err := tracefile.NewBCT2Reader(bufio.NewReaderSize(f, 1<<20))
 	if err != nil {
 		fail(err)
 	}
-	if string(m) == "BCT2" {
-		// Stream: blocks decode once and fan out, nothing is materialized.
-		d, err := tracefile.NewBCT2Reader(br)
-		if err != nil {
-			fail(err)
-		}
-		if err := tracefile.ScoreStream(ctx, d, hooks...); err != nil {
-			fail(err)
-		}
-	} else {
-		tr, err := tracefile.ReadTraceContext(ctx, br)
-		if err != nil {
-			fail(err)
-		}
-		if err := tr.ScoreParallelContext(ctx, hooks...); err != nil {
-			fail(err)
-		}
+	if err := tracefile.ScoreStream(ctx, d, hooks...); err != nil {
+		fail(err)
 	}
 	for i, n := range names {
 		e := evals[i]

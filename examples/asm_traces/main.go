@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -73,13 +74,13 @@ func main() {
 		}
 	}
 
-	// Record the trace.
+	// Record the trace, streaming it to a BCT2 file as the VM runs.
 	path := filepath.Join(os.TempDir(), "asm_kernel.bt")
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tw, err := tracefile.NewWriter(f)
+	tw, err := tracefile.NewBCT2Writer(f)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,6 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	tw.Steps, tw.Runs = res.Steps, 1
 	if err := tw.Close(); err != nil {
 		log.Fatal(err)
 	}
@@ -101,16 +103,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, err := tracefile.NewReader(g)
+		d, err := tracefile.NewBCT2Reader(g)
 		if err != nil {
 			log.Fatal(err)
 		}
 		sbtb := &predict.Evaluator{P: btb.NewSBTB(entries, entries)}
 		cbtb := &predict.Evaluator{P: btb.NewCBTB(entries, entries, 2, 2)}
-		err = tr.Replay(func(ev vm.BranchEvent) {
-			sbtb.Observe(ev)
-			cbtb.Observe(ev)
-		})
+		err = tracefile.ScoreStream(context.Background(), d, sbtb.Hook(), cbtb.Hook())
 		g.Close()
 		if err != nil {
 			log.Fatal(err)

@@ -49,11 +49,6 @@ type Config struct {
 	// schemes are unaffected — their Reset is a no-op.
 	FlushEvery int64
 
-	// CycleSim, when non-nil, runs the cycle-level pipeline simulator
-	// alongside each scheme's evaluation (one simulator instance per
-	// scheme, configured with these stage depths).
-	CycleSim *pipeline.CycleSim
-
 	// Schemes lists the registered predict.Scheme names to score, in report
 	// order; nil means DefaultSchemes (the paper's three).
 	Schemes []string
@@ -122,7 +117,6 @@ func (c Config) Configs() predict.ConfigSet { return c.SchemeConfigs }
 // SchemeResult is one scheme's score on one benchmark.
 type SchemeResult struct {
 	Stats predict.Stats
-	Cycle *pipeline.CycleSim // nil unless Config.CycleSim was set
 
 	// Extra holds scheme-internal capacity metrics (buffer inserts,
 	// evictions, occupancy) for predictors implementing predict.MetricSource;
@@ -215,14 +209,6 @@ func (e *Eval) CBTB() SchemeResult { return e.Schemes["cbtb"] }
 
 // FS returns the Forward Semantic result.
 func (e *Eval) FS() SchemeResult { return e.Schemes["fs"] }
-
-// cloneSim returns a fresh simulator with the same stage depths.
-func cloneSim(cs *pipeline.CycleSim) *pipeline.CycleSim {
-	if cs == nil {
-		return nil
-	}
-	return cs.Clone()
-}
 
 // EvaluateBenchmark runs the full pipeline for one benchmark: a single
 // profiling+recording pass over the original binary (all inputs), trace
@@ -435,16 +421,15 @@ func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profIn
 		e.phase("fs.transform", start)
 	}
 
-	// Build one evaluator (and cycle simulator) per scheme, then score:
+	// Build one evaluator per scheme, then score:
 	// non-transformed schemes replay the recorded trace concurrently;
 	// transformed schemes share one multiplexed pass over the transformed
 	// binary, with synthetic fixup jumps excluded so every scheme scores
 	// the same branch set.
 	type job struct {
-		name  string
-		ev    *predict.Evaluator
-		cycle *pipeline.CycleSim
-		rec   *attr.Recorder // nil unless Config.Attribution was set
+		name string
+		ev   *predict.Evaluator
+		rec  *attr.Recorder // nil unless Config.Attribution was set
 	}
 	jobs := make([]*job, len(schemes))
 	var replayed []*predict.Evaluator
@@ -455,15 +440,8 @@ func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profIn
 			sctx.Prog = fsRes.Prog
 		}
 		j := &job{
-			name:  names[i],
-			ev:    &predict.Evaluator{P: sc.New(sctx), FlushEvery: cfg.FlushEvery},
-			cycle: cloneSim(cfg.CycleSim),
-		}
-		if j.cycle != nil {
-			cyc := j.cycle
-			j.ev.OnResult = func(ev vm.BranchEvent, correct bool) {
-				cyc.OnBranch(correct, ev.Op.IsCondBranch())
-			}
+			name: names[i],
+			ev:   &predict.Evaluator{P: sc.New(sctx), FlushEvery: cfg.FlushEvery},
 		}
 		if cfg.Attribution != nil {
 			j.rec = attr.NewRecorder(*cfg.Attribution)
@@ -541,7 +519,7 @@ func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profIn
 		e.phase("icache", start)
 	}
 	for _, j := range jobs {
-		res := SchemeResult{Stats: j.ev.S, Cycle: j.cycle}
+		res := SchemeResult{Stats: j.ev.S}
 		if ms, ok := j.ev.P.(predict.MetricSource); ok {
 			res.Extra = ms.Metrics()
 		}

@@ -184,35 +184,6 @@ func TestCostHelper(t *testing.T) {
 	}
 }
 
-func TestCycleSimAttachment(t *testing.T) {
-	prog, err := compile.Compile(testSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := pipeline.NewCycleSim(1, 1, 2)
-	e, err := core.Evaluate("t", prog, testInputs, testInputs, core.Config{CycleSim: sim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range []core.SchemeResult{e.SBTB(), e.CBTB(), e.FS()} {
-		if sc.Cycle == nil {
-			t.Fatal("cycle sim not attached")
-		}
-		if sc.Cycle.Branches != sc.Stats.Branches {
-			t.Fatalf("cycle sim branches %d != stats %d", sc.Cycle.Branches, sc.Stats.Branches)
-		}
-		// Exact analytic agreement.
-		sim, model := sc.Cycle.CostPerBranch(), sc.Cycle.EffectiveConfig().Cost(sc.Stats.Accuracy())
-		if math.Abs(sim-model) > 1e-9 {
-			t.Fatalf("cycle %v != model %v", sim, model)
-		}
-	}
-	// The template simulator itself must stay untouched.
-	if sim.Branches != 0 {
-		t.Fatal("config template mutated")
-	}
-}
-
 func TestFlushEveryDegradesHardwareOnly(t *testing.T) {
 	b, err := workloads.ByName("wc")
 	if err != nil {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"branchcost/internal/fs"
@@ -80,7 +81,9 @@ func TestReplayEquivalence(t *testing.T) {
 			for i, p := range plain {
 				hooks[i] = p.replay.Hook()
 			}
-			tr.ScoreParallel(hooks...)
+			if err := tr.ScoreParallelContext(context.Background(), hooks...); err != nil {
+				t.Fatal(err)
+			}
 			for _, p := range plain {
 				if p.live.S != p.replay.S {
 					t.Errorf("%s: replay != live:\nlive   %+v\nreplay %+v", p.name, p.live.S, p.replay.S)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"branchcost/internal/core"
 	"branchcost/internal/fs"
 	"branchcost/internal/pipeline"
 	"branchcost/internal/predict"
@@ -292,29 +291,29 @@ type CycleRow struct {
 }
 
 // CycleCheck validates the analytic cost model against the cycle-level
-// pipeline simulator (k=1, ℓ=1, m=2): for each scheme, the simulated
-// cycles/branch must equal the model evaluated at the simulation's
-// effective m̄ (exactly — both count the same stalls).
-func CycleCheck(names []string) ([]CycleRow, *stats.Table, error) {
-	sim := pipeline.NewCycleSim(1, 1, 2)
-	suite := NewSuite(core.Config{CycleSim: sim})
+// pipeline simulator (k=1, ℓ=1, m=2), filled from each scheme's Stats as
+// scored by the suite: for each scheme, the simulated cycles/branch must
+// equal the model evaluated at the simulation's effective m̄ (exactly —
+// both count the same stalls).
+func CycleCheck(s *Suite, names []string) ([]CycleRow, *stats.Table, error) {
 	t := stats.NewTable("Ablation: cycle-level simulation vs analytic cost model (k=1, l=1, m=2)",
 		"Benchmark", "Scheme", "Simulated", "Analytic", "Delta")
 	var rows []CycleRow
 	for _, name := range names {
-		e, err := suite.Eval(name)
+		e, err := s.Eval(name)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, sc := range []struct {
-			label string
-			res   core.SchemeResult
-		}{{"SBTB", e.SBTB()}, {"CBTB", e.CBTB()}, {"FS", e.FS()}} {
-			cs := sc.res.Cycle
-			a := sc.res.Stats.Accuracy()
-			model := cs.EffectiveConfig().Cost(a)
+		for _, sc := range []struct{ label, scheme string }{{"SBTB", "sbtb"}, {"CBTB", "cbtb"}, {"FS", "fs"}} {
+			res, ok := e.Schemes[sc.scheme]
+			if !ok {
+				return nil, nil, fmt.Errorf("cycle: %s: scheme %s was not scored", name, sc.scheme)
+			}
+			cs := pipeline.NewCycleSim(1, 1, 2)
+			cs.Add(res.Stats)
 			r := CycleRow{Benchmark: name, Scheme: sc.label,
-				Simulated: cs.CostPerBranch(), Analytic: model}
+				Simulated: cs.CostPerBranch(),
+				Analytic:  cs.EffectiveConfig().Cost(res.Stats.Accuracy())}
 			rows = append(rows, r)
 			t.AddRow(name, sc.label, stats.F3(r.Simulated), stats.F3(r.Analytic),
 				fmt.Sprintf("%+.4f", r.Simulated-r.Analytic))

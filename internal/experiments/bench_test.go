@@ -23,8 +23,8 @@ var benchNames = []string{"wc", "compress"}
 // cache amortizes it across every sweep), and all fourteen BTB geometries
 // score by parallel replay — no VM execution inside the loop. Predictor
 // work common to both paths dominates this sweep, so the win over reexec
-// scales with the cores available to ScoreParallel (single-core hosts see
-// parity); the flush-sweep pair below shows the engine's structural win.
+// scales with the cores available to the replay engine (single-core hosts
+// see parity); the flush-sweep pair below shows the engine's structural win.
 func BenchmarkSizeSweepReplay(b *testing.B) {
 	s := experiments.NewSuite(core.Config{})
 	for _, n := range benchNames {

@@ -1,10 +1,14 @@
 package experiments_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"branchcost/internal/core"
 	"branchcost/internal/experiments"
+	"branchcost/internal/pipeline"
+	"branchcost/internal/predict"
 )
 
 // suite is shared across tests; evaluation results are cached inside.
@@ -345,6 +349,45 @@ func TestContextSwitchShape(t *testing.T) {
 	last := rows[len(rows)-1]
 	if !(last.SBTBAcc < base.SBTBAcc) || !(last.CBTBAcc < base.CBTBAcc) {
 		t.Errorf("hardware schemes did not degrade at the shortest period")
+	}
+}
+
+// TestCycleCheck: the cycle ablation reads the caller's suite, so its rows
+// follow the suite's scheme configuration, and every row's simulated cost
+// equals the analytic model at the simulation's effective m̄ exactly.
+func TestCycleCheck(t *testing.T) {
+	paper, _, err := experiments.CycleCheck(suite, []string{"wc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := experiments.NewSuite(core.Config{SchemeConfigs: predict.ConfigSet{
+		"sbtb": predict.SBTBConfig{BTBGeometry: predict.BTBGeometry{Entries: 16, Assoc: 1}},
+	}})
+	rows, _, err := experiments.CycleCheck(small, []string{"wc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range append(paper, rows...) {
+		if math.Abs(r.Simulated-r.Analytic) > 1e-9 {
+			t.Errorf("%s %s: simulated %v != analytic %v", r.Benchmark, r.Scheme, r.Simulated, r.Analytic)
+		}
+	}
+	e, err := small.Eval("wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := pipeline.NewCycleSim(1, 1, 2)
+	cs.Add(e.SBTB().Stats)
+	if rows[0].Scheme != "SBTB" || rows[0].Simulated != cs.CostPerBranch() {
+		t.Errorf("SBTB row %+v, want simulated cost %v from the suite's Stats", rows[0], cs.CostPerBranch())
+	}
+	if rows[0].Simulated == paper[0].Simulated {
+		t.Errorf("16-entry direct-mapped SBTB row %v equals the paper-config row", rows[0].Simulated)
+	}
+
+	noFS := experiments.NewSuite(core.Config{Schemes: []string{"sbtb", "cbtb"}})
+	if _, _, err := experiments.CycleCheck(noFS, []string{"wc"}); err == nil || !strings.Contains(err.Error(), "wc") {
+		t.Errorf("suite without fs: err = %v, want an error naming wc", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -10,7 +11,6 @@ import (
 	"branchcost/internal/predict"
 	"branchcost/internal/stats"
 	"branchcost/internal/tracefile"
-	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
 )
 
@@ -60,59 +60,57 @@ type FrontendCheckRow struct {
 }
 
 // frontendSims builds one trace-driven simulator per (width, scheme) for a
-// benchmark and replays the recorded streams through all of them in two
+// benchmark. Each scheme gets one evaluator, and every width's simulator
+// observes it (predict.Observers), so a scheme predicts each branch once
+// however many widths are swept. The recorded streams replay in two
 // passes: the original binary's trace for the hardware schemes, and —
 // recorded here, once — the transformed binary's trace for the FS scheme.
 // No per-width live VM pass runs; width only changes how the same stream
 // is packed into fetch groups.
 func frontendSims(e *core.Eval, configs predict.ConfigSet, widths []int, schemes []string) (map[int]map[string]*pipesim.Sim, error) {
 	sims := make(map[int]map[string]*pipesim.Sim, len(widths))
-	var hwHooks, fsSimHooks []vm.BranchFunc
-
-	// The FS scheme replays the transformed binary's own stream; reuse the
-	// evaluation's transform when present, else materialize the paper's.
-	var fsRes *fs.Result
-	needFS := false
-	for _, sc := range schemes {
-		if sc == "fs" {
-			needFS = true
-		}
-	}
-	if needFS {
-		fsRes = e.FSResult
-		if fsRes == nil {
-			var err error
-			fsRes, err = fs.Transform(e.Program, e.Profile, 2)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	for _, w := range widths {
 		sims[w] = make(map[string]*pipesim.Sim, len(schemes))
-		for _, name := range schemes {
-			if name == "fs" {
-				sim := pipesim.New(w, frontendK, frontendL, frontendM,
-					predict.LikelyBit{Targets: predict.ProgramTargets{Prog: fsRes.Prog}})
-				sims[w][name] = sim
-				fsSimHooks = append(fsSimHooks, sim.TraceHook())
-				continue
-			}
-			sc, ok := predict.Lookup(name)
-			if !ok {
-				return nil, fmt.Errorf("frontend: unknown scheme %q", name)
-			}
-			p := sc.New(predict.SchemeContext{Prog: e.Program, Profile: e.Profile, Configs: configs})
-			sim := pipesim.New(w, frontendK, frontendL, frontendM, p)
+	}
+	evaluator := func(name string, p predict.Predictor) *predict.Evaluator {
+		obs := make(predict.Observers, len(widths))
+		for i, w := range widths {
+			sim := pipesim.New(w, frontendK, frontendL, frontendM)
 			sims[w][name] = sim
-			hwHooks = append(hwHooks, sim.TraceHook())
+			obs[i] = sim.TraceObserver()
+		}
+		return &predict.Evaluator{P: p, Obs: obs}
+	}
+
+	var hw []*predict.Evaluator
+	var fsEv *predict.Evaluator
+	var fsRes *fs.Result
+	for _, name := range schemes {
+		if name == "fs" {
+			// The FS scheme replays the transformed binary's own stream;
+			// reuse the evaluation's transform when present, else
+			// materialize the paper's.
+			if fsRes = e.FSResult; fsRes == nil {
+				var err error
+				if fsRes, err = fs.Transform(e.Program, e.Profile, 2); err != nil {
+					return nil, err
+				}
+			}
+			fsEv = evaluator(name, predict.LikelyBit{Targets: predict.ProgramTargets{Prog: fsRes.Prog}})
+			continue
+		}
+		sc, ok := predict.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("frontend: unknown scheme %q", name)
+		}
+		hw = append(hw, evaluator(name, sc.New(predict.SchemeContext{Prog: e.Program, Profile: e.Profile, Configs: configs})))
+	}
+	if len(hw) > 0 {
+		if err := tracefile.Score(context.Background(), e.Trace, hw); err != nil {
+			return nil, err
 		}
 	}
-	if len(hwHooks) > 0 {
-		e.Trace.ScoreParallel(hwHooks...)
-	}
-	if len(fsSimHooks) > 0 {
+	if fsEv != nil {
 		b, err := workloads.ByName(e.Name)
 		if err != nil {
 			return nil, err
@@ -121,7 +119,7 @@ func frontendSims(e *core.Eval, configs predict.ConfigSet, widths []int, schemes
 		if err != nil {
 			return nil, err
 		}
-		fsTrace.ScoreParallel(fsSimHooks...)
+		fsTrace.Replay(fsEv.Hook())
 	}
 	return sims, nil
 }

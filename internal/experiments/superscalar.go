@@ -5,6 +5,7 @@ import (
 
 	"branchcost/internal/btb"
 	"branchcost/internal/fs"
+	"branchcost/internal/isa"
 	"branchcost/internal/pipesim"
 	"branchcost/internal/predict"
 	"branchcost/internal/stats"
@@ -56,35 +57,39 @@ func Superscalar(s *Suite, names []string) ([]SuperscalarRow, *stats.Table, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, w := range widths {
-			sims := map[string]*pipesim.Sim{
-				"SBTB": pipesim.New(w, k, l, m, btb.NewSBTB(256, 256)),
-				"CBTB": pipesim.New(w, k, l, m, btb.NewCBTB(256, 256, 2, 2)),
-				"FS": pipesim.New(w, k, l, m,
-					predict.LikelyBit{Targets: predict.ProgramTargets{Prog: fsRes.Prog}}),
+		// One evaluator per scheme drives every width's simulator, so each
+		// scheme executes its binary once for the whole sweep.
+		for _, run := range []struct {
+			scheme string
+			prog   *isa.Program
+			pred   predict.Predictor
+		}{
+			{"SBTB", e.Program, btb.NewSBTB(256, 256)},
+			{"CBTB", e.Program, btb.NewCBTB(256, 256, 2, 2)},
+			{"FS", fsRes.Prog, predict.LikelyBit{Targets: predict.ProgramTargets{Prog: fsRes.Prog}}},
+		} {
+			sims := make([]*pipesim.Sim, len(widths))
+			obs := make(predict.Observers, len(widths))
+			for i, w := range widths {
+				sims[i] = pipesim.New(w, k, l, m)
+				obs[i] = sims[i]
 			}
-			for _, sc := range []string{"SBTB", "CBTB"} {
-				sim := sims[sc]
-				cfg := vm.Config{Trace: sim.Step}
-				for run := 0; run < b.Runs; run++ {
-					if _, err := vm.Run(e.Program, b.Input(run), sim.Hook(), cfg); err != nil {
-						return nil, nil, err
-					}
+			ev := &predict.Evaluator{P: run.pred, Obs: obs}
+			cfg := vm.Config{Trace: func(pos int32) {
+				for _, sim := range sims {
+					sim.Step(pos)
 				}
-			}
-			fsSim := sims["FS"]
-			fsCfg := vm.Config{Trace: fsSim.Step}
-			fsHook := fsSim.Hook()
-			for run := 0; run < b.Runs; run++ {
-				if _, err := vm.Run(fsRes.Prog, b.Input(run), fsHook, fsCfg); err != nil {
+			}}
+			for i := 0; i < b.Runs; i++ {
+				if _, err := vm.Run(run.prog, b.Input(i), ev.Hook(), cfg); err != nil {
 					return nil, nil, err
 				}
 			}
-			for sc, sim := range sims {
-				a := results[w][sc]
-				a.ipc += sim.IPC()
-				a.util += sim.FetchUtilization()
-				a.cost += sim.CostPerBranch()
+			for i, w := range widths {
+				a := results[w][run.scheme]
+				a.ipc += sims[i].IPC()
+				a.util += sims[i].FetchUtilization()
+				a.cost += sims[i].CostPerBranch()
 			}
 		}
 	}

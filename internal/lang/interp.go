@@ -522,6 +522,9 @@ func (st *interpState) eval(e Expr, fr *frame) (int64, error) {
 			}
 			return -1, nil
 		case "putc":
+			if len(x.Args) != 1 {
+				return 0, fmt.Errorf("%w: putc arity", ErrInterpBadCall)
+			}
 			v, err := st.eval(x.Args[0], fr)
 			if err != nil {
 				return 0, err

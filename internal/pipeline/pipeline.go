@@ -16,7 +16,11 @@
 // execute pipeline).
 package pipeline
 
-import "fmt"
+import (
+	"fmt"
+
+	"branchcost/internal/predict"
+)
 
 // Config describes one pipeline operating point of the cost model.
 type Config struct {
@@ -40,14 +44,17 @@ func (c Config) String() string {
 // the execute depth m and the fraction of branches that are conditional.
 func MBarStatic(m int, fracCond float64) float64 { return float64(m) * fracCond }
 
-// CycleSim is a cycle-level model of the pipeline driven by per-branch
-// prediction outcomes. Every instruction issues in one cycle; a mispredicted
-// conditional branch stalls the pipeline for k+ℓ+m cycles beyond its own
-// issue cycle minus one (so its total cost is k+ℓ+m), and a mispredicted
-// unconditional branch — whose action is known at the end of decode — costs
-// k+ℓ. Comparing the simulated cycles-per-branch against Config.Cost
-// validates the analytic model (they differ only in how m̄ averages over
-// conditional-vs-unconditional mispredictions; see the cycle ablation).
+// CycleSim is a cycle-level model of the pipeline filled from a scheme's
+// prediction outcomes (predict.Stats). Every instruction issues in one
+// cycle; a mispredicted conditional branch stalls the pipeline for k+ℓ+m
+// cycles beyond its own issue cycle minus one (so its total cost is k+ℓ+m),
+// and a mispredicted unconditional branch — whose action is known at the
+// end of decode — costs k+ℓ. A branch's stall depends only on whether it
+// was mispredicted and whether it is conditional, so a scheme's Stats carry
+// everything the simulation needs. Comparing the simulated cycles-per-branch
+// against Config.Cost validates the analytic model (they differ only in how
+// m̄ averages over conditional-vs-unconditional mispredictions; see the
+// cycle ablation).
 //
 // Construct with NewCycleSim, which validates the depths; the zero value is
 // unusable (k+ℓ must be at least 1).
@@ -62,7 +69,7 @@ type CycleSim struct {
 
 // NewCycleSim validates the stage depths at construction, like pipesim.New:
 // negative depths panic, and so does k+ℓ == 0 — a branch resolves at the end
-// of decode at the earliest, so the stall arithmetic in OnBranch relies on
+// of decode at the earliest, so the stall arithmetic in Add relies on
 // k+ℓ ≥ 1.
 func NewCycleSim(k, l, m int) *CycleSim {
 	if k < 0 || l < 0 || m < 0 {
@@ -77,25 +84,17 @@ func NewCycleSim(k, l, m int) *CycleSim {
 // Depths returns the configured stage depths.
 func (cs *CycleSim) Depths() (k, l, m int) { return cs.k, cs.l, cs.m }
 
-// Clone returns a fresh simulator with the same depths and zeroed counters.
-func (cs *CycleSim) Clone() *CycleSim {
-	return &CycleSim{k: cs.k, l: cs.l, m: cs.m}
-}
-
-// OnBranch records one executed branch and whether its prediction was fully
-// correct.
-func (cs *CycleSim) OnBranch(correct, conditional bool) {
-	cs.Branches++
-	if correct {
-		return
-	}
-	cs.Mispredicts++
-	stall := cs.k + cs.l - 1 // ≥ 0: NewCycleSim guarantees k+l ≥ 1
-	if conditional {
-		stall += cs.m
-		cs.condWrong++
-	}
-	cs.StallCycles += int64(stall)
+// Add charges one scored branch stream: st.Branches − st.Correct
+// mispredicts, of which st.CondBranches − st.CondCorrect were conditional.
+func (cs *CycleSim) Add(st predict.Stats) {
+	wrong := st.Branches - st.Correct
+	condWrong := st.CondBranches - st.CondCorrect
+	cs.Branches += st.Branches
+	cs.Mispredicts += wrong
+	cs.condWrong += condWrong
+	// k+ℓ−1 ≥ 0 per mispredict (NewCycleSim guarantees k+ℓ ≥ 1), plus m
+	// per conditional one.
+	cs.StallCycles += wrong*int64(cs.k+cs.l-1) + condWrong*int64(cs.m)
 }
 
 // TotalCycles is the cycle count for a run of steps dynamic instructions.

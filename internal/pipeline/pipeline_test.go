@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"branchcost/internal/pipeline"
+	"branchcost/internal/predict"
 )
 
 func TestCostModelEndpoints(t *testing.T) {
@@ -78,21 +79,15 @@ func TestConfigString(t *testing.T) {
 }
 
 func TestCycleSimMatchesModel(t *testing.T) {
-	// Feed a synthetic outcome stream and verify the simulated
-	// cycles/branch equals the analytic model at the effective config.
+	// Feed a synthetic outcome mix and verify the simulated cycles/branch
+	// equals the analytic model at the effective config.
 	cs := pipeline.NewCycleSim(1, 2, 3)
-	outcomes := []struct {
-		correct, cond bool
-		n             int
-	}{
-		{true, true, 700},
-		{false, true, 200},  // cond mispredicts: stall k+l+m-1 = 5
-		{false, false, 100}, // uncond mispredicts: stall k+l-1 = 2
-	}
-	for _, o := range outcomes {
-		for i := 0; i < o.n; i++ {
-			cs.OnBranch(o.correct, o.cond)
-		}
+	for _, st := range []predict.Stats{
+		{Branches: 700, Correct: 700, CondBranches: 700, CondCorrect: 700},
+		{Branches: 200, CondBranches: 200}, // cond mispredicts: stall k+l+m-1 = 5
+		{Branches: 100},                    // uncond mispredicts: stall k+l-1 = 2
+	} {
+		cs.Add(st)
 	}
 	if cs.Branches != 1000 || cs.Mispredicts != 300 {
 		t.Fatalf("counts: %+v", cs)
@@ -115,7 +110,7 @@ func TestCycleSimMatchesModel(t *testing.T) {
 
 func TestCycleSimTotalsAndCPI(t *testing.T) {
 	cs := pipeline.NewCycleSim(1, 1, 1)
-	cs.OnBranch(false, true) // stall 2
+	cs.Add(predict.Stats{Branches: 1, CondBranches: 1}) // one cond mispredict: stall 2
 	if cs.TotalCycles(10) != 12 {
 		t.Fatalf("total = %d", cs.TotalCycles(10))
 	}
@@ -147,15 +142,21 @@ func TestNewCycleSimValidatesDepths(t *testing.T) {
 	}
 }
 
+// TestCycleSimCloneAndDepths: a simulator keeps its depths through use, and
+// a fresh one built from them, NewCycleSim(cs.Depths()), has the same
+// geometry and none of the counters.
 func TestCycleSimCloneAndDepths(t *testing.T) {
 	cs := pipeline.NewCycleSim(1, 2, 3)
-	cs.OnBranch(false, true)
-	c := cs.Clone()
+	cs.Add(predict.Stats{Branches: 1, CondBranches: 1})
+	if k, l, m := cs.Depths(); k != 1 || l != 2 || m != 3 {
+		t.Fatalf("Depths = %d %d %d, want 1 2 3", k, l, m)
+	}
+	c := pipeline.NewCycleSim(cs.Depths())
 	if k, l, m := c.Depths(); k != 1 || l != 2 || m != 3 {
-		t.Fatalf("Clone depths = %d %d %d", k, l, m)
+		t.Fatalf("clone depths = %d %d %d", k, l, m)
 	}
 	if c.Branches != 0 || c.StallCycles != 0 {
-		t.Fatalf("Clone carried counters: %+v", c)
+		t.Fatalf("clone carried counters: %+v", c)
 	}
 }
 
@@ -166,12 +167,17 @@ func TestCycleSimPropertyEquivalence(t *testing.T) {
 		cs := pipeline.NewCycleSim(2, 1, 2)
 		correctCount := 0
 		for _, b := range seed {
-			correct := b&1 == 0
-			cond := b&2 == 0
-			cs.OnBranch(correct, cond)
-			if correct {
+			// One branch per byte: bit 0 clear = correct, bit 1 clear =
+			// conditional.
+			st := predict.Stats{Branches: 1}
+			if b&1 == 0 {
+				st.Correct = 1
 				correctCount++
 			}
+			if b&2 == 0 {
+				st.CondBranches, st.CondCorrect = 1, st.Correct
+			}
+			cs.Add(st)
 		}
 		if cs.Branches == 0 {
 			return true

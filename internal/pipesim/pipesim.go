@@ -16,6 +16,11 @@
 // cycle, so a mispredicted conditional branch costs exactly K+L+M cycles
 // end to end: the paper's penalty P, making the W = 1 simulation agree with
 // the analytic model cost = A + P(1−A) exactly.
+//
+// The simulator does no predicting of its own: it is a predict.Observer
+// that charges cycles for the outcomes a predict.Evaluator reports, so one
+// evaluator — one predictor — drives any number of simulators at once
+// (predict.Observers), one per fetch width.
 package pipesim
 
 import (
@@ -26,10 +31,10 @@ import (
 	"branchcost/internal/vm"
 )
 
-// Sim accumulates cycle counts for one run. Drive it either live — Hook plus
-// a vm.Config Trace of Step — or from a recorded trace alone via TraceHook,
-// which is how the frontend cost models are calibrated without extra VM
-// passes.
+// Sim accumulates cycle counts for one run. Attach it to an evaluator either
+// live — as the evaluator's observer, plus a vm.Config Trace of Step — or
+// over a recorded trace alone via TraceObserver, which is how the frontend
+// cost models are calibrated without extra VM passes.
 type Sim struct {
 	Width   int // fetch width W (instructions per cycle), >= 1
 	K, L, M int
@@ -41,12 +46,11 @@ type Sim struct {
 	Squashed    int64 // wrong-path fetch slots issued then discarded
 	GroupBreaks int64 // fetch groups ended early by a correctly taken branch
 	DeadCycles  int64 // fetch cycles idled waiting for misprediction recovery
-	// UnrecordedBreaks counts fetch breaks charged by TraceHook for control
-	// transfers the trace does not record (CALL/RET fold the callee out of
-	// the recorded stream). Always 0 when driven live.
+	// UnrecordedBreaks counts fetch breaks charged by TraceObserver for
+	// control transfers the trace does not record (CALL/RET fold the callee
+	// out of the recorded stream). Always 0 when driven live.
 	UnrecordedBreaks int64
 
-	pred      predict.Predictor
 	condWrong int64
 
 	// fetch state: cycle currently being filled and slots used in it.
@@ -56,11 +60,11 @@ type Sim struct {
 	drainCycle int64
 }
 
-// New returns a simulator using the given predictor. Stage depths are
-// validated up front: negative depths panic, as does k+l == 0 (a branch
-// resolves at the end of decode at the earliest, so every misprediction
-// penalty is at least one cycle).
-func New(width, k, l, m int, pred predict.Predictor) *Sim {
+// New returns a simulator of a width-W fetch engine over k, l and m stages.
+// Stage depths are validated up front: negative depths panic, as does
+// k+l == 0 (a branch resolves at the end of decode at the earliest, so every
+// misprediction penalty is at least one cycle).
+func New(width, k, l, m int) *Sim {
 	if width < 1 {
 		panic(fmt.Sprintf("pipesim: width %d < 1", width))
 	}
@@ -70,7 +74,7 @@ func New(width, k, l, m int, pred predict.Predictor) *Sim {
 	if k+l == 0 {
 		panic("pipesim: k+l must be at least 1 (branches resolve after decode)")
 	}
-	return &Sim{Width: width, K: k, L: l, M: m, pred: pred, curCycle: 1}
+	return &Sim{Width: width, K: k, L: l, M: m, curCycle: 1}
 }
 
 // depth is the pipeline length after the select stage.
@@ -101,39 +105,29 @@ func (s *Sim) redirect(at int64) {
 	s.slotsUsed = 0
 }
 
-// Hook returns the vm.BranchFunc driving the simulation. Non-branch
-// instructions are accounted through Step; wire both:
-//
-//	sim := pipesim.New(4, 1, 2, 2, pred)
-//	cfg := vm.Config{Trace: sim.Step}
-//	vm.Run(prog, input, sim.Hook(), cfg)
-func (s *Sim) Hook() vm.BranchFunc {
-	return func(ev vm.BranchEvent) {
-		if !ev.Op.IsBranch() {
-			return // CALL/RET redirect fetch too, but are not studied here
-		}
-		s.Branch(ev)
-	}
-}
-
 // Step accounts one executed instruction's fetch (called from the VM's
-// trace hook, which fires for every instruction including branches; the
-// branch hook then adds the branch-specific behaviour).
+// trace hook, which fires for every instruction including branches, before
+// the evaluator reports the branch's outcome).
 func (s *Sim) Step(pos int32) {
 	s.fetchOne()
 }
 
-// Branch applies branch semantics for an instruction already counted by
-// Step: prediction, group breaks, and misprediction redirects.
-func (s *Sim) Branch(ev vm.BranchEvent) {
+// ObserveEvent makes the simulator a live predict.Observer: it applies the
+// semantics of a branch already fetched by Step — group breaks and
+// misprediction redirects — for the outcome the evaluator reports. Wire
+// both:
+//
+//	sim := pipesim.New(4, 1, 2, 2)
+//	ev := &predict.Evaluator{P: pred, Obs: sim}
+//	vm.Run(prog, input, ev.Hook(), vm.Config{Trace: sim.Step})
+//
+// CALL/RET redirect fetch too, but the evaluator does not score them, so
+// they are not studied here.
+func (s *Sim) ObserveEvent(ev vm.BranchEvent, out predict.Outcome) {
 	s.Branches++
-	p := s.pred.Predict(ev)
-	correct := p.Taken == ev.Taken && (!p.Taken || p.Target == ev.Target)
-	s.pred.Update(ev)
-
 	fetchCycle := s.curCycle // the group this branch was fetched in
 
-	if correct {
+	if out.Correct {
 		if ev.Taken {
 			// Correctly predicted taken: the target comes from the BTB or
 			// the forward slots, but the fetch address still changes — the
@@ -166,8 +160,8 @@ func (s *Sim) Branch(ev vm.BranchEvent) {
 }
 
 // fetchRun accounts n sequential right-path instructions, equivalent to n
-// calls of fetchOne but in O(1): TraceHook reconstructs whole fetch runs
-// from PC arithmetic rather than per-instruction VM callbacks.
+// calls of fetchOne but in O(1): TraceObserver reconstructs whole fetch
+// runs from PC arithmetic rather than per-instruction VM callbacks.
 func (s *Sim) fetchRun(n int64) {
 	for n > 0 {
 		if s.slotsUsed >= s.Width {
@@ -193,8 +187,8 @@ func (s *Sim) fetchRun(n int64) {
 	}
 }
 
-// TraceHook returns a vm.BranchFunc that drives the simulation from a
-// recorded branch stream alone (tracefile.Trace.Replay), with no live VM
+// TraceObserver returns the observer driving the simulation from a recorded
+// branch stream alone (an evaluator fed by tracefile.Score), with no live VM
 // pass: the sequential instructions between consecutive branch events are
 // reconstructed from PC arithmetic — every recorded event carries the
 // actual next fetch position in ev.Target, so the straight-line run up to
@@ -203,32 +197,36 @@ func (s *Sim) fetchRun(n int64) {
 // charged as one fetch break (UnrecordedBreaks), a forward move is fetched
 // as if it were straight-line. The reconstruction is exact at W = 1 and
 // width-independent, so cross-width comparisons stay apples to apples.
-func (s *Sim) TraceHook() vm.BranchFunc {
-	expect := int64(-1)
-	return func(ev vm.BranchEvent) {
-		if !ev.Op.IsBranch() {
-			return
+func (s *Sim) TraceObserver() predict.Observer { return &traced{s: s, expect: -1} }
+
+// traced is the trace-driven observer: expect is the fetch position the
+// previous event's outcome leads to (−1 before the first event).
+type traced struct {
+	s      *Sim
+	expect int64
+}
+
+func (o *traced) ObserveEvent(ev vm.BranchEvent, out predict.Outcome) {
+	s := o.s
+	pc := int64(ev.PC)
+	switch {
+	case o.expect < 0:
+		s.fetchRun(pc) // straight-line prologue from program entry
+	case pc >= o.expect:
+		s.fetchRun(pc - o.expect)
+	default:
+		s.UnrecordedBreaks++
+		// Reset fetch-block alignment, but only if the current group has
+		// started filling — if the previous event already redirected,
+		// fetch is at a fresh boundary and redirecting again would burn
+		// an empty cycle (and break the W = 1 identity).
+		if s.slotsUsed > 0 {
+			s.redirect(s.curCycle + 1)
 		}
-		pc := int64(ev.PC)
-		switch {
-		case expect < 0:
-			s.fetchRun(pc) // straight-line prologue from program entry
-		case pc >= expect:
-			s.fetchRun(pc - expect)
-		default:
-			s.UnrecordedBreaks++
-			// Reset fetch-block alignment, but only if the current group has
-			// started filling — if the previous event already redirected,
-			// fetch is at a fresh boundary and redirecting again would burn
-			// an empty cycle (and break the W = 1 identity).
-			if s.slotsUsed > 0 {
-				s.redirect(s.curCycle + 1)
-			}
-		}
-		s.fetchOne() // the branch itself, as Step would have
-		s.Branch(ev)
-		expect = int64(ev.Target)
 	}
+	s.fetchOne() // the branch itself, as Step would have
+	s.ObserveEvent(ev, out)
+	o.expect = int64(ev.Target)
 }
 
 // Cycles returns the total cycle count (through pipeline drain).
@@ -303,8 +301,8 @@ func (s *Sim) Accuracy() float64 {
 }
 
 // redirects is the total number of fetch-address changes: correctly
-// predicted taken branches, misprediction recoveries, and (under TraceHook)
-// unrecorded control transfers.
+// predicted taken branches, misprediction recoveries, and (under
+// TraceObserver) unrecorded control transfers.
 func (s *Sim) redirects() int64 {
 	return s.GroupBreaks + s.Mispredicts + s.UnrecordedBreaks
 }

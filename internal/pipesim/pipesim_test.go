@@ -1,6 +1,7 @@
 package pipesim_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,12 +9,23 @@ import (
 	"branchcost/internal/pipeline"
 	"branchcost/internal/pipesim"
 	"branchcost/internal/predict"
+	"branchcost/internal/tracefile"
 	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
 )
 
-// runSim executes benchmark run 0 through the stage simulator.
+// runSim executes benchmark run 0 through the stage simulator, observing
+// pred's evaluator.
 func runSim(t *testing.T, bench string, width, k, l, m int, pred predict.Predictor) *pipesim.Sim {
+	t.Helper()
+	sim := pipesim.New(width, k, l, m)
+	runLive(t, bench, &predict.Evaluator{P: pred, Obs: sim}, sim)
+	return sim
+}
+
+// runLive executes benchmark run 0 through ev, with every instruction's
+// fetch accounted by sims.
+func runLive(t *testing.T, bench string, ev *predict.Evaluator, sims ...*pipesim.Sim) {
 	t.Helper()
 	b, err := workloads.ByName(bench)
 	if err != nil {
@@ -23,12 +35,14 @@ func runSim(t *testing.T, bench string, width, k, l, m int, pred predict.Predict
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := pipesim.New(width, k, l, m, pred)
-	cfg := vm.Config{Trace: sim.Step}
-	if _, err := vm.Run(prog, b.Input(0), sim.Hook(), cfg); err != nil {
+	cfg := vm.Config{Trace: func(pos int32) {
+		for _, sim := range sims {
+			sim.Step(pos)
+		}
+	}}
+	if _, err := vm.Run(prog, b.Input(0), ev.Hook(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	return sim
 }
 
 // TestWidthOneMatchesAnalytic: at W = 1 the stage simulation must agree
@@ -49,33 +63,16 @@ func TestWidthOneMatchesAnalytic(t *testing.T) {
 	}
 }
 
-// TestWidthOneExactEquivalence drives both the stage simulator and the
-// event-based CycleSim from the same run; their branch costs must be equal.
+// TestWidthOneExactEquivalence: the stage simulator at W = 1 and the
+// CycleSim filled from the same evaluator's Stats must charge equal branch
+// costs.
 func TestWidthOneExactEquivalence(t *testing.T) {
-	b, err := workloads.ByName("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := b.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
 	const k, l, m = 1, 2, 2
-	sim := pipesim.New(1, k, l, m, btb.NewSBTB(256, 256))
+	sim := pipesim.New(1, k, l, m)
+	ev := &predict.Evaluator{P: btb.NewSBTB(256, 256), Obs: sim}
+	runLive(t, "compress", ev, sim)
 	cs := pipeline.NewCycleSim(k, l, m)
-	ev := &predict.Evaluator{
-		P: btb.NewSBTB(256, 256),
-		OnResult: func(e vm.BranchEvent, correct bool) {
-			cs.OnBranch(correct, e.Op.IsCondBranch())
-		},
-	}
-	hook := func(e vm.BranchEvent) {
-		sim.Hook()(e)
-		ev.Observe(e)
-	}
-	if _, err := vm.Run(prog, b.Input(0), hook, vm.Config{Trace: sim.Step}); err != nil {
-		t.Fatal(err)
-	}
+	cs.Add(ev.S)
 	if sim.Branches != cs.Branches || sim.Mispredicts != cs.Mispredicts {
 		t.Fatalf("counters differ: %d/%d vs %d/%d",
 			sim.Branches, sim.Mispredicts, cs.Branches, cs.Mispredicts)
@@ -83,6 +80,63 @@ func TestWidthOneExactEquivalence(t *testing.T) {
 	if d := sim.CostPerBranch() - cs.CostPerBranch(); math.Abs(d) > 1e-9 {
 		t.Fatalf("stage sim cost %.6f != event sim cost %.6f",
 			sim.CostPerBranch(), cs.CostPerBranch())
+	}
+}
+
+// TestSharedEvaluator: simulators observing one shared evaluator must end
+// in exactly the state of simulators that each observe an evaluator of
+// their own, live and trace-driven alike, and each must count the
+// evaluator's branches and mispredicts.
+func TestSharedEvaluator(t *testing.T) {
+	widths := []int{1, 4}
+	tr := recordTrace(t, "wc")
+	for _, mode := range []string{"live", "trace"} {
+		newSims := func() []*pipesim.Sim {
+			sims := make([]*pipesim.Sim, len(widths))
+			for i, w := range widths {
+				sims[i] = pipesim.New(w, 1, 2, 2)
+			}
+			return sims
+		}
+		observer := func(sim *pipesim.Sim) predict.Observer {
+			if mode == "live" {
+				return sim
+			}
+			return sim.TraceObserver()
+		}
+		run := func(evs []*predict.Evaluator, sims []*pipesim.Sim) {
+			if mode == "live" {
+				for _, ev := range evs {
+					runLive(t, "wc", ev, sims...)
+				}
+				return
+			}
+			if err := tracefile.Score(context.Background(), tr, evs); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		shared, own := newSims(), newSims()
+		var obs predict.Observers
+		var evs []*predict.Evaluator
+		for i := range widths {
+			obs = append(obs, observer(shared[i]))
+			evs = append(evs, &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2), Obs: observer(own[i])})
+		}
+		ev := &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2), Obs: obs}
+		run([]*predict.Evaluator{ev}, shared)
+		for i := range own {
+			run(evs[i:i+1], own[i:i+1])
+		}
+		for i, w := range widths {
+			if *shared[i] != *own[i] {
+				t.Errorf("%s W=%d: shared evaluator %+v != own evaluator %+v", mode, w, *shared[i], *own[i])
+			}
+			if shared[i].Branches != ev.S.Branches || shared[i].Mispredicts != ev.S.Branches-ev.S.Correct {
+				t.Errorf("%s W=%d: sim counts %d branches, %d mispredicts; evaluator %d, %d",
+					mode, w, shared[i].Branches, shared[i].Mispredicts, ev.S.Branches, ev.S.Branches-ev.S.Correct)
+			}
+		}
 	}
 }
 
@@ -140,7 +194,7 @@ func TestBadWidthPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	pipesim.New(0, 1, 1, 1, oracle{})
+	pipesim.New(0, 1, 1, 1)
 }
 
 // TestGroupBreaksCounted: taken branches end fetch groups.

@@ -29,9 +29,12 @@ func recordTrace(t *testing.T, bench string) *tracefile.Trace {
 	return tr
 }
 
+// replaySim replays tr through pred's evaluator, observed by one
+// trace-driven simulator.
 func replaySim(tr *tracefile.Trace, width, k, l, m int, pred predict.Predictor) *pipesim.Sim {
-	sim := pipesim.New(width, k, l, m, pred)
-	tr.Replay(sim.TraceHook())
+	sim := pipesim.New(width, k, l, m)
+	ev := &predict.Evaluator{P: pred, Obs: sim.TraceObserver()}
+	tr.Replay(ev.Hook())
 	return sim
 }
 
@@ -162,7 +165,7 @@ func TestPipesimBadDepthsPanic(t *testing.T) {
 					t.Errorf("New(4, %d, %d, %d) did not panic", bad[0], bad[1], bad[2])
 				}
 			}()
-			pipesim.New(4, bad[0], bad[1], bad[2], oracle{})
+			pipesim.New(4, bad[0], bad[1], bad[2])
 		}()
 	}
 }

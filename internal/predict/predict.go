@@ -107,11 +107,23 @@ type Outcome struct {
 }
 
 // Observer receives every scored branch together with its Outcome. It is the
-// attribution/forensics seam: internal/attr implements it to break aggregate
-// Stats down by site and by time window. A nil Observer in the Evaluator is
+// evaluator's one per-branch seam: internal/attr implements it to break
+// aggregate Stats down by site and by time window, and internal/pipesim to
+// charge fetch cycles for each outcome. A nil Observer in the Evaluator is
 // the disabled state and costs one inlined nil check per event.
 type Observer interface {
 	ObserveEvent(ev vm.BranchEvent, out Outcome)
+}
+
+// Observers fans one evaluator's outcomes out to several observers, in
+// order, so one predictor can drive every consumer of its verdicts.
+type Observers []Observer
+
+// ObserveEvent implements Observer.
+func (obs Observers) ObserveEvent(ev vm.BranchEvent, out Outcome) {
+	for _, o := range obs {
+		o.ObserveEvent(ev, out)
+	}
 }
 
 // Evaluator feeds a branch stream through a predictor and scores it.
@@ -124,14 +136,11 @@ type Evaluator struct {
 	FlushEvery int64
 	sinceFlush int64
 
-	// OnResult, when non-nil, receives each branch with the correctness of
-	// its prediction (used by the cycle-level pipeline simulator).
-	OnResult func(ev vm.BranchEvent, correct bool)
-
 	// Obs, when non-nil, receives every scored branch with its full Outcome
-	// (used by the attribution recorder). Observers must not mutate ev and
-	// must not themselves influence scoring: the evaluator's Stats are
-	// complete for the event before ObserveEvent runs.
+	// (the attribution recorder, the stage simulators; Observers attaches
+	// several). Observers must not mutate ev and must not themselves
+	// influence scoring: the evaluator's Stats are complete for the event
+	// before ObserveEvent runs.
 	Obs Observer
 }
 
@@ -185,9 +194,6 @@ func (e *Evaluator) Observe(ev vm.BranchEvent) {
 		}
 	}
 	e.P.Update(ev)
-	if e.OnResult != nil {
-		e.OnResult(ev, correct)
-	}
 	if e.Obs != nil {
 		e.Obs.ObserveEvent(ev, Outcome{
 			Index:    e.S.Branches - 1,

@@ -191,26 +191,28 @@ func TestEmptyStats(t *testing.T) {
 	}
 }
 
-func TestOnResultCallback(t *testing.T) {
-	var got []bool
-	e := &predict.Evaluator{
-		P:        predict.AlwaysNotTaken{},
-		OnResult: func(ev vm.BranchEvent, correct bool) { got = append(got, correct) },
-	}
-	e.Observe(ev(1, isa.BEQ, false, 0, false)) // correct
-	e.Observe(ev(1, isa.BEQ, true, 4, false))  // wrong
-	if len(got) != 2 || !got[0] || got[1] {
-		t.Fatalf("callback sequence: %v", got)
-	}
-}
-
 // outcomeLog is an Observer keeping every outcome.
 type outcomeLog []predict.Outcome
 
 func (l *outcomeLog) ObserveEvent(_ vm.BranchEvent, out predict.Outcome) { *l = append(*l, out) }
 
+// TestObserversFanOut: every observer attached through Observers sees each
+// scored branch's verdict, in order; unscored CALL events reach none.
+func TestObserversFanOut(t *testing.T) {
+	var a, b outcomeLog
+	e := &predict.Evaluator{P: predict.AlwaysNotTaken{}, Obs: predict.Observers{&a, &b}}
+	e.Observe(ev(1, isa.BEQ, false, 0, false)) // correct
+	e.Observe(ev(0, isa.CALL, true, 5, false)) // not scored
+	e.Observe(ev(1, isa.BEQ, true, 4, false))  // wrong
+	for _, got := range []outcomeLog{a, b} {
+		if len(got) != 2 || !got[0].Correct || got[1].Correct || got[0].Index != 0 || got[1].Index != 1 {
+			t.Fatalf("observed outcomes: %+v", got)
+		}
+	}
+}
+
 // TestEvaluatorObserveBlock: scoring a stream block by block must match
-// scoring it event by event — flush period, OnResult and Obs included —
+// scoring it event by event — flush period and observers included —
 // wherever the block boundaries fall.
 func TestEvaluatorObserveBlock(t *testing.T) {
 	var evs []vm.BranchEvent
@@ -219,14 +221,12 @@ func TestEvaluatorObserveBlock(t *testing.T) {
 		evs = append(evs, ev(pc, isa.BEQ, i%3 != 0, pc+7, false))
 	}
 	type run struct {
-		e       *predict.Evaluator
-		results []bool
-		obs     outcomeLog
+		e        *predict.Evaluator
+		obs, two outcomeLog
 	}
 	mk := func() *run {
 		r := &run{}
-		r.e = &predict.Evaluator{P: btb.NewSBTB(4, 4), FlushEvery: 17, Obs: &r.obs,
-			OnResult: func(_ vm.BranchEvent, correct bool) { r.results = append(r.results, correct) }}
+		r.e = &predict.Evaluator{P: btb.NewSBTB(4, 4), FlushEvery: 17, Obs: predict.Observers{&r.obs, &r.two}}
 		return r
 	}
 	one := mk()
@@ -237,8 +237,12 @@ func TestEvaluatorObserveBlock(t *testing.T) {
 	for lo, n := 0, 1; lo < len(evs); lo, n = lo+n, n+5 {
 		blocks.e.ObserveBlock(evs[lo:min(lo+n, len(evs))])
 	}
-	if blocks.e.S != one.e.S || !slices.Equal(blocks.results, one.results) || !slices.Equal(blocks.obs, one.obs) {
+	if blocks.e.S != one.e.S || !slices.Equal(blocks.obs, one.obs) {
 		t.Fatalf("block scoring diverged:\nblocks %+v\nevents %+v", blocks.e.S, one.e.S)
+	}
+	if len(one.obs) != len(evs) || !slices.Equal(one.two, one.obs) || !slices.Equal(blocks.two, blocks.obs) {
+		t.Fatalf("observers saw different outcome sequences: %d/%d/%d/%d of %d events",
+			len(one.obs), len(one.two), len(blocks.obs), len(blocks.two), len(evs))
 	}
 }
 

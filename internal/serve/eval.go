@@ -47,7 +47,7 @@ func schemeLineOf(name string, st predict.Stats, extra map[string]int64) schemeL
 // handleEval serves POST /eval. Two request shapes:
 //
 //	POST /eval?benchmark=wc          — evaluate a registered benchmark
-//	POST /eval?schemes=always,sbtb   — replay an uploaded BCT1/BCT2 trace
+//	POST /eval?schemes=always,sbtb   — replay an uploaded BCT2 trace
 //	  (request body; Content-Type application/octet-stream)
 //
 // The response is NDJSON: one "scheme" line per scored scheme, then (for

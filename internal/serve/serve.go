@@ -1,7 +1,7 @@
 // Package serve is the evaluation daemon: experiments.Suite promoted from a
 // one-shot CLI scheduler into a long-running HTTP service (cmd/branchcostd)
 // that accepts concurrent evaluation requests — a benchmark name or an
-// uploaded BCT2/BCT1 trace — and streams per-scheme scores and the run
+// uploaded BCT2 trace — and streams per-scheme scores and the run
 // manifest back as newline-delimited JSON.
 //
 // Robustness is the package's contract, not a garnish:

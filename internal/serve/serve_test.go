@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 
 	"branchcost/internal/core"
 	"branchcost/internal/corpus"
+	"branchcost/internal/isa"
 	"branchcost/internal/predict"
 	"branchcost/internal/serve"
 	"branchcost/internal/telemetry"
@@ -505,8 +507,19 @@ func TestServeUploadTrace(t *testing.T) {
 	if e := decodeError(t, w); w.Code != http.StatusRequestEntityTooLarge || e.Code != "upload_too_large" {
 		t.Fatalf("oversize upload = %d/%s, want 413/upload_too_large", w.Code, e.Code)
 	}
-	w = do(s, httptest.NewRequest("POST", "/eval?schemes=sbtb", strings.NewReader("not a trace")))
-	if e := decodeError(t, w); w.Code != http.StatusBadRequest || e.Code != "bad_trace" {
-		t.Fatalf("garbage upload = %d/%s, want 400/bad_trace", w.Code, e.Code)
+	// Garbage, and a stream in the retired fixed-width BCT1 encoding (magic,
+	// uint64 event count, 16 bytes per event), are both bad traces; the
+	// daemon keeps serving after either.
+	bct1 := append([]byte("BCT1"), binary.LittleEndian.AppendUint64(nil, 1)...)
+	bct1 = append(bct1, 3, 0, 0, 0, 3, 0, 0, 0, 9, 0, 0, 0, byte(isa.BEQ), 1, 0, 0)
+	for name, body := range map[string][]byte{"garbage": []byte("not a trace"), "bct1": bct1} {
+		w = do(s, httptest.NewRequest("POST", "/eval?schemes=sbtb", bytes.NewReader(body)))
+		if e := decodeError(t, w); w.Code != http.StatusBadRequest || e.Code != "bad_trace" {
+			t.Fatalf("%s upload = %d/%s, want 400/bad_trace", name, w.Code, e.Code)
+		}
+		w = do(s, httptest.NewRequest("POST", "/eval?schemes=sbtb", bytes.NewReader(raw)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("upload after %s upload = %d, body %s", name, w.Code, w.Body)
+		}
 	}
 }

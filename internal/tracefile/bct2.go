@@ -1,7 +1,7 @@
 package tracefile
 
 // The BCT2 format: a block-structured, varint+delta-encoded trace encoding
-// designed for disk-resident corpora. Where BCT1 spends a fixed 16 bytes per
+// designed for disk-resident corpora. Rather than spend a fixed width per
 // event, BCT2 exploits the structure of a branch stream — a small static
 // site set revisited by a long dynamic stream — the same way the in-memory
 // Trace does, and adds per-block checksums so corruption is detected and
@@ -56,6 +56,9 @@ import (
 
 var magic2 = [4]byte{'B', 'C', 'T', '2'}
 
+// ErrBadMagic reports a stream that is not a BCT2 trace file.
+var ErrBadMagic = errors.New("tracefile: bad magic (not a BCT2 trace)")
+
 const (
 	bct2Version = 1
 
@@ -72,10 +75,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 var errVarint = errors.New("varint overflows 64 bits")
 
-// BCT2Writer streams branch events to w in the BCT2 encoding. Unlike the
-// BCT1 Writer it needs no seeking: the event count lives per block and the
-// run metadata in the trailer, so any io.Writer (a pipe, a compressor, a
-// network socket) works.
+// BCT2Writer streams branch events to w in the BCT2 encoding. It needs no
+// seeking: the event count lives per block and the run metadata in the
+// trailer, so any io.Writer (a pipe, a compressor, a network socket) works.
 type BCT2Writer struct {
 	// Steps and Runs are written into the trailer by Close; set them before
 	// closing when the recording pass tracked them.
@@ -262,12 +264,6 @@ func NewBCT2Reader(r io.Reader) (*BCT2Reader, error) {
 	if m != magic2 {
 		return nil, ErrBadMagic
 	}
-	return newBCT2ReaderAfterMagic(r)
-}
-
-// newBCT2ReaderAfterMagic continues from a stream whose 4 magic bytes are
-// already consumed (the ReadTrace dispatch path).
-func newBCT2ReaderAfterMagic(r io.Reader) (*BCT2Reader, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)

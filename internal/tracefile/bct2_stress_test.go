@@ -29,7 +29,7 @@ func stressTraceBytes(t *testing.T) (*tracefile.Trace, []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := tr.WriteFormat(&buf, tracefile.FormatBCT2); err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return tr, buf.Bytes()

@@ -18,56 +18,45 @@ import (
 	"branchcost/internal/workloads"
 )
 
-// encodeBoth serializes one trace in both encodings.
-func encodeBoth(t *testing.T, tr *tracefile.Trace) (bct1, bct2 []byte) {
-	t.Helper()
-	var b1, b2 bytes.Buffer
-	if _, err := tr.WriteFormat(&b1, tracefile.FormatBCT1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.WriteFormat(&b2, tracefile.FormatBCT2); err != nil {
-		t.Fatal(err)
-	}
-	return b1.Bytes(), b2.Bytes()
-}
-
 // TestBCT2RoundTripEveryBenchmark: for every benchmark of the suite, the
-// BCT2 encoding must reproduce the BCT1 event stream bit for bit — so any
-// scheme scores identically off either file — and must be at least 3x
-// smaller (the acceptance floor; the varint encoding typically does far
-// better). yacc exercises JMPI (per-event dynamic targets); the others
-// cover the two-target conditional-branch fast path.
+// BCT2 encoding must reproduce the recorded event stream and run metadata
+// bit for bit — so any scheme scores identically off the file — and must be
+// at least 3x smaller than a fixed-width encoding of 16 bytes per event
+// behind a 12-byte header (the acceptance floor; the varint encoding
+// typically does far better). yacc exercises JMPI (per-event dynamic
+// targets); the others cover the two-target conditional-branch fast path.
 func TestBCT2RoundTripEveryBenchmark(t *testing.T) {
 	for _, b := range workloads.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			tr, live := liveEvents(t, b.Name)
-			bct1, bct2 := encodeBoth(t, tr)
-			if len(bct1) < 3*len(bct2) {
-				t.Errorf("BCT2 not 3x smaller: BCT1 %d bytes, BCT2 %d bytes (%.2fx)",
-					len(bct1), len(bct2), float64(len(bct1))/float64(len(bct2)))
+			var buf bytes.Buffer
+			if _, err := tr.WriteTo(&buf); err != nil {
+				t.Fatal(err)
 			}
-			for name, enc := range map[string][]byte{"bct1": bct1, "bct2": bct2} {
-				back, err := tracefile.ReadTrace(bytes.NewReader(enc))
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+			enc := buf.Bytes()
+			if fixed := 12 + 16*len(live); fixed < 3*len(enc) {
+				t.Errorf("BCT2 not 3x smaller: fixed width %d bytes, BCT2 %d bytes (%.2fx)",
+					fixed, len(enc), float64(fixed)/float64(len(enc)))
+			}
+			back, err := tracefile.ReadTrace(bytes.NewReader(enc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Len() != len(live) {
+				t.Fatalf("round-trip len %d != %d", back.Len(), len(live))
+			}
+			i := 0
+			back.Replay(func(ev vm.BranchEvent) {
+				if ev != live[i] {
+					t.Fatalf("event %d: %+v != %+v", i, ev, live[i])
 				}
-				if back.Len() != len(live) {
-					t.Fatalf("%s: round-trip len %d != %d", name, back.Len(), len(live))
-				}
-				i := 0
-				back.Replay(func(ev vm.BranchEvent) {
-					if ev != live[i] {
-						t.Fatalf("%s: event %d: %+v != %+v", name, i, ev, live[i])
-					}
-					i++
-				})
-				// Only BCT2 carries the run metadata; BCT1 is events-only.
-				if name == "bct2" && (back.Steps != tr.Steps || back.Runs != tr.Runs) {
-					t.Fatalf("%s: metadata lost: steps %d/%d, runs %d/%d",
-						name, back.Steps, tr.Steps, back.Runs, tr.Runs)
-				}
+				i++
+			})
+			if back.Steps != tr.Steps || back.Runs != tr.Runs {
+				t.Fatalf("metadata lost: steps %d/%d, runs %d/%d",
+					back.Steps, tr.Steps, back.Runs, tr.Runs)
 			}
 		})
 	}
@@ -79,7 +68,7 @@ func TestBCT2RoundTripEveryBenchmark(t *testing.T) {
 func TestScoreStreamMatchesReplay(t *testing.T) {
 	tr, _ := liveEvents(t, "compress")
 	var buf bytes.Buffer
-	if _, err := tr.WriteFormat(&buf, tracefile.FormatBCT2); err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	mk := func() []*predict.Evaluator {
@@ -118,7 +107,7 @@ func TestScoreStreamMatchesReplay(t *testing.T) {
 func TestScoreStreamHonorsContext(t *testing.T) {
 	tr, _ := liveEvents(t, "wc")
 	var buf bytes.Buffer
-	if _, err := tr.WriteFormat(&buf, tracefile.FormatBCT2); err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	d, err := tracefile.NewBCT2Reader(bytes.NewReader(buf.Bytes()))
@@ -138,7 +127,7 @@ func bct2Bytes(t *testing.T) []byte {
 	t.Helper()
 	tr, _ := liveEvents(t, "wc")
 	var buf bytes.Buffer
-	if _, err := tr.WriteFormat(&buf, tracefile.FormatBCT2); err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -191,7 +180,7 @@ func TestBCT2BadMagicAndVersion(t *testing.T) {
 }
 
 // TestWriteToDefaultsToBCT2: the io.WriterTo-style serializer must emit the
-// current format, and ReadTrace must dispatch on the magic.
+// BCT2 format.
 func TestWriteToDefaultsToBCT2(t *testing.T) {
 	tr, _ := liveEvents(t, "wc")
 	var buf bytes.Buffer
@@ -200,9 +189,6 @@ func TestWriteToDefaultsToBCT2(t *testing.T) {
 	}
 	if !bytes.HasPrefix(buf.Bytes(), []byte("BCT2")) {
 		t.Fatalf("WriteTo wrote magic %q, want BCT2", buf.Bytes()[:4])
-	}
-	if _, err := tr.WriteFormat(io.Discard, tracefile.Format(9)); err == nil {
-		t.Fatal("unknown format accepted")
 	}
 }
 
@@ -217,7 +203,7 @@ func FuzzBCT2Decode(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := tr.WriteFormat(&buf, tracefile.FormatBCT2); err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
 	enc := buf.Bytes()

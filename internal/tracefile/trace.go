@@ -1,8 +1,17 @@
+// Package tracefile records and replays branch traces — the methodology of
+// the paper's era, when prediction studies ran from tape-archived address
+// traces rather than live execution. A trace file captures the exact branch
+// stream one program run produces; replaying it through
+// internal/predict.Evaluator reproduces any scheme's accuracy bit for bit,
+// without re-executing the program.
+//
+// Trace files have one encoding, the block-structured compressed BCT2 (see
+// bct2.go), used for standalone files and the on-disk corpus alike.
+// ReadTrace rejects any other stream with ErrBadMagic.
 package tracefile
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -153,17 +162,12 @@ func (t *Trace) Replay(hook vm.BranchFunc) {
 	_ = Score(context.Background(), t, []hookSink{hookSink(hook)})
 }
 
-// ScoreParallel replays the trace once through every hook, in parallel (see
-// Score). The trace is read-only during replay, so hooks only need their
-// own state to be private (each predictor evaluator is).
-func (t *Trace) ScoreParallel(hooks ...vm.BranchFunc) {
-	// Background contexts never cancel, so the error is structurally nil.
-	_ = t.ScoreParallelContext(context.Background(), hooks...)
-}
-
-// ScoreParallelContext is ScoreParallel with cancellation: when ctx is
-// cancelled mid-replay the workers stop within ctxCheckEvery events and the
-// context's error is returned; the hooks' partial state is then meaningless.
+// ScoreParallelContext replays the trace once through every hook, in
+// parallel (see Score). The trace is read-only during replay, so hooks only
+// need their own state to be private (each predictor evaluator is). When
+// ctx is cancelled mid-replay the workers stop within ctxCheckEvery events
+// and the context's error is returned; the hooks' partial state is then
+// meaningless.
 func (t *Trace) ScoreParallelContext(ctx context.Context, hooks ...vm.BranchFunc) error {
 	return Score(ctx, t, hookSinks(hooks))
 }
@@ -205,27 +209,6 @@ func RecordConfig(ctx context.Context, p *isa.Program, inputs [][]byte, cfg vm.C
 	return t, nil
 }
 
-// Format identifies a trace-file encoding.
-type Format uint8
-
-const (
-	// FormatBCT1 is the fixed-width legacy encoding: 16 bytes per event.
-	FormatBCT1 Format = 1
-	// FormatBCT2 is the block-structured varint+delta encoding with
-	// per-block checksums; the default for new files and the corpus.
-	FormatBCT2 Format = 2
-)
-
-func (f Format) String() string {
-	switch f {
-	case FormatBCT1:
-		return "BCT1"
-	case FormatBCT2:
-		return "BCT2"
-	}
-	return fmt.Sprintf("Format(%d)", uint8(f))
-}
-
 // countingWriter tracks bytes written, for the io.WriterTo contract.
 type countingWriter struct {
 	w io.Writer
@@ -239,114 +222,49 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // WriteTo serializes the trace in the BCT2 format. It implements
-// io.WriterTo; unlike the streaming Writer no seeking is needed, since a
-// materialized trace knows its event count upfront.
+// io.WriterTo; no seeking is needed, so any io.Writer works.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	return t.WriteFormat(w, FormatBCT2)
-}
-
-// WriteFormat serializes the trace in the requested encoding.
-func (t *Trace) WriteFormat(w io.Writer, f Format) (int64, error) {
 	cw := &countingWriter{w: w}
-	switch f {
-	case FormatBCT1:
-		var hdr [12]byte
-		copy(hdr[:4], magic[:])
-		binary.LittleEndian.PutUint64(hdr[4:], uint64(t.events))
-		if _, err := cw.Write(hdr[:]); err != nil {
-			return cw.n, err
-		}
-		var buf [eventSize]byte
-		var werr error
-		t.Replay(func(ev vm.BranchEvent) {
-			if werr != nil {
-				return
-			}
-			encodeEvent16(&buf, ev)
-			_, werr = cw.Write(buf[:])
-		})
-		return cw.n, werr
-	case FormatBCT2:
-		tw, err := NewBCT2Writer(cw)
-		if err != nil {
-			return cw.n, err
-		}
-		tw.Steps, tw.Runs = t.Steps, t.Runs
-		t.Replay(tw.Record)
-		return cw.n, tw.Close()
+	tw, err := NewBCT2Writer(cw)
+	if err != nil {
+		return cw.n, err
 	}
-	return 0, fmt.Errorf("tracefile: unknown format %v", f)
+	tw.Steps, tw.Runs = t.Steps, t.Runs
+	t.Replay(tw.Record)
+	return cw.n, tw.Close()
 }
 
-// Dump serializes the trace.
-//
-// Deprecated: Dump predates WriteTo and demanded an io.WriteSeeker the
-// encoding never actually needs; use WriteTo (or WriteFormat to pin an
-// encoding).
-func (t *Trace) Dump(w io.WriteSeeker) error {
-	_, err := t.WriteTo(w)
-	return err
-}
-
-// ReadTrace loads a serialized trace stream — either format, dispatched on
-// the magic — into an in-memory trace.
+// ReadTrace loads a serialized BCT2 trace stream into an in-memory trace.
+// Any other stream fails with ErrBadMagic.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	return ReadTraceContext(context.Background(), r)
 }
 
-// ReadTraceContext is ReadTrace with telemetry: when ctx carries a Set, the
-// format dispatch ("tracefile.read.bct1"/"tracefile.read.bct2") and — for
-// BCT2 streams — per-block decode counters are recorded. A BCT2 stream loads
-// without building a single event: the trace adopts the decoder's site
-// dictionary and its packed stream is the decoder's words.
+// ReadTraceContext is ReadTrace with telemetry: when ctx carries a Set,
+// "tracefile.read.bct2" counts the stream and the per-block decode counters
+// are recorded. The stream loads without building a single event: the
+// trace adopts the decoder's site dictionary and its packed stream is the
+// decoder's words.
 func ReadTraceContext(ctx context.Context, r io.Reader) (*Trace, error) {
 	set := telemetry.FromContext(ctx)
-	var m [4]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return nil, fmt.Errorf("tracefile: short header: %w", err)
+	d, err := NewBCT2Reader(r)
+	if err != nil {
+		return nil, err
 	}
+	set.Counter("tracefile.read.bct2").Inc()
+	d.Instrument(set)
 	t := &Trace{}
-	switch m {
-	case magic:
-		set.Counter("tracefile.read.bct1").Inc()
-		tr, err := newReaderAfterMagic(r)
+	for {
+		words, err := d.nextWords(t.stream)
+		if errors.Is(err, io.EOF) {
+			break
+		}
 		if err != nil {
 			return nil, err
 		}
-		for {
-			ev, err := tr.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := t.add(ev); err != nil {
-				return nil, fmt.Errorf("tracefile: bct1 event %d at offset %d: %w",
-					tr.index-1, tr.offset()-eventSize, err)
-			}
-		}
-	case magic2:
-		set.Counter("tracefile.read.bct2").Inc()
-		d, err := newBCT2ReaderAfterMagic(r)
-		if err != nil {
-			return nil, err
-		}
-		d.Instrument(set)
-		for {
-			words, err := d.nextWords(t.stream)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			t.stream = words
-		}
-		t.sites, t.bySite, t.events = d.sites, d.bySite, int(d.events)
-		t.Steps, t.Runs = d.Steps(), d.Runs()
-	default:
-		return nil, ErrBadMagic
+		t.stream = words
 	}
+	t.sites, t.bySite, t.events = d.sites, d.bySite, int(d.events)
+	t.Steps, t.Runs = d.Steps(), d.Runs()
 	return t, nil
 }

@@ -1,7 +1,7 @@
 package tracefile_test
 
 import (
-	"bytes"
+	"context"
 	"testing"
 
 	"branchcost/internal/btb"
@@ -98,62 +98,12 @@ func TestScoreParallelMatchesSequential(t *testing.T) {
 	for i, e := range par {
 		hooks[i] = e.Hook()
 	}
-	tr.ScoreParallel(hooks...)
+	if err := tr.ScoreParallelContext(context.Background(), hooks...); err != nil {
+		t.Fatal(err)
+	}
 	for i := range seq {
 		if seq[i].S != par[i].S {
 			t.Fatalf("evaluator %d: parallel stats differ:\nseq %+v\npar %+v", i, seq[i].S, par[i].S)
 		}
 	}
-}
-
-// TestTraceDumpReadRoundTrip: in-memory trace -> serialized bytes (Dump,
-// which now emits BCT2 through the WriteTo path) -> in-memory trace must
-// preserve the event stream exactly.
-func TestTraceDumpReadRoundTrip(t *testing.T) {
-	tr, live := liveEvents(t, "yacc")
-	var buf writeSeekBuffer
-	if err := tr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := tracefile.ReadTrace(bytes.NewReader(buf.data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != len(live) {
-		t.Fatalf("round-trip len %d != %d", back.Len(), len(live))
-	}
-	i := 0
-	back.Replay(func(ev vm.BranchEvent) {
-		if ev != live[i] {
-			t.Fatalf("event %d: %+v != %+v", i, ev, live[i])
-		}
-		i++
-	})
-}
-
-// writeSeekBuffer is a minimal in-memory io.WriteSeeker for Dump tests.
-type writeSeekBuffer struct {
-	data []byte
-	pos  int
-}
-
-func (b *writeSeekBuffer) Write(p []byte) (int, error) {
-	if n := b.pos + len(p); n > len(b.data) {
-		b.data = append(b.data, make([]byte, n-len(b.data))...)
-	}
-	copy(b.data[b.pos:], p)
-	b.pos += len(p)
-	return len(p), nil
-}
-
-func (b *writeSeekBuffer) Seek(offset int64, whence int) (int64, error) {
-	switch whence {
-	case 0:
-		b.pos = int(offset)
-	case 1:
-		b.pos += int(offset)
-	case 2:
-		b.pos = len(b.data) + int(offset)
-	}
-	return int64(b.pos), nil
 }

@@ -2,22 +2,26 @@ package tracefile_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"branchcost/internal/btb"
+	"branchcost/internal/isa"
 	"branchcost/internal/predict"
 	"branchcost/internal/tracefile"
 	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
 )
 
-// tempTrace records the given benchmark's run-0 branch stream to a file and
-// returns the path plus the live-measured events.
-func tempTrace(t *testing.T, name string) (string, []vm.BranchEvent) {
+// tempTrace streams the given benchmark's run-0 branch stream to a BCT2
+// file through BCT2Writer.Hook and returns the path, the live-measured
+// branch events, and how many CALL events the run emitted.
+func tempTrace(t *testing.T, name string) (path string, live []vm.BranchEvent, calls int) {
 	t.Helper()
 	b, err := workloads.ByName(name)
 	if err != nil {
@@ -27,21 +31,23 @@ func tempTrace(t *testing.T, name string) (string, []vm.BranchEvent) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), name+".bt")
+	path = filepath.Join(t.TempDir(), name+".bt")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tw, err := tracefile.NewWriter(f)
+	tw, err := tracefile.NewBCT2Writer(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var live []vm.BranchEvent
+	rec := tw.Hook()
 	hook := func(ev vm.BranchEvent) {
-		tw.Hook()(ev)
+		rec(ev)
 		if ev.Op.IsBranch() {
 			live = append(live, ev)
+		} else {
+			calls++
 		}
 	}
 	if _, err := vm.Run(prog, b.Input(0), hook, vm.Config{}); err != nil {
@@ -50,41 +56,53 @@ func tempTrace(t *testing.T, name string) (string, []vm.BranchEvent) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path, live
+	return path, live, calls
 }
 
-func TestRoundTrip(t *testing.T) {
-	path, live := tempTrace(t, "wc")
+// readEvents decodes a BCT2 file block by block.
+func readEvents(t *testing.T, path string) []vm.BranchEvent {
+	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := tracefile.NewReader(f)
+	d, err := tracefile.NewBCT2Reader(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Remaining() != uint64(len(live)) {
-		t.Fatalf("count %d != %d", tr.Remaining(), len(live))
-	}
-	for i, want := range live {
-		got, err := tr.Next()
+	var evs []vm.BranchEvent
+	for {
+		block, err := d.NextBlock(nil)
+		if errors.Is(err, io.EOF) {
+			return evs
+		}
 		if err != nil {
-			t.Fatalf("event %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("event %d: %+v != %+v", i, got, want)
-		}
-	}
-	if _, err := tr.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("expected EOF, got %v", err)
+		evs = append(evs, block...)
 	}
 }
 
-// TestReplayReproducesAccuracy: evaluating a predictor from the trace must
-// give bit-identical statistics to live evaluation.
+// TestRoundTrip: a file streamed from a live run decodes to exactly the
+// live branch events.
+func TestRoundTrip(t *testing.T) {
+	path, live, _ := tempTrace(t, "wc")
+	got := readEvents(t, path)
+	if len(got) != len(live) {
+		t.Fatalf("count %d != %d", len(got), len(live))
+	}
+	for i, want := range live {
+		if got[i] != want {
+			t.Fatalf("event %d: %+v != %+v", i, got[i], want)
+		}
+	}
+}
+
+// TestReplayReproducesAccuracy: evaluating a predictor from the trace file
+// must give bit-identical statistics to live evaluation.
 func TestReplayReproducesAccuracy(t *testing.T) {
-	path, live := tempTrace(t, "grep")
+	path, live, _ := tempTrace(t, "grep")
 
 	liveEval := &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2)}
 	for _, ev := range live {
@@ -96,85 +114,81 @@ func TestReplayReproducesAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := tracefile.NewReader(f)
+	tr, err := tracefile.ReadTrace(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayEval := &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2)}
-	if err := tr.Replay(replayEval.Hook()); err != nil {
-		t.Fatal(err)
-	}
+	tr.Replay(replayEval.Hook())
 	if liveEval.S != replayEval.S {
 		t.Fatalf("replay stats differ:\nlive   %+v\nreplay %+v", liveEval.S, replayEval.S)
 	}
 }
 
+// TestBadMagic: ReadTrace refuses every stream that is not BCT2 with
+// ErrBadMagic — garbage, and files in the retired fixed-width BCT1
+// encoding, which must be re-recorded.
 func TestBadMagic(t *testing.T) {
-	if _, err := tracefile.NewReader(bytes.NewReader([]byte("NOPE00000000"))); !errors.Is(err, tracefile.ErrBadMagic) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestTruncatedTrace(t *testing.T) {
-	path, _ := tempTrace(t, "wc")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := tracefile.NewReader(bytes.NewReader(data[:len(data)-5]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := tr.Next(); err != nil {
-			if errors.Is(err, io.EOF) {
-				t.Fatal("truncation not detected")
-			}
-			return // got the truncation error
+	// One BCT1 event: magic, uint64 event count, then 16 bytes per event
+	// (pc, id, target as int32, op, flags, 2 bytes of padding).
+	bct1 := append([]byte("BCT1"), binary.LittleEndian.AppendUint64(nil, 1)...)
+	bct1 = binary.LittleEndian.AppendUint32(bct1, 3) // pc
+	bct1 = binary.LittleEndian.AppendUint32(bct1, 3) // id
+	bct1 = binary.LittleEndian.AppendUint32(bct1, 9) // target
+	bct1 = append(bct1, byte(isa.BEQ), 1, 0, 0)      // op, taken, pad
+	for name, data := range map[string][]byte{"garbage": []byte("NOPE00000000"), "bct1": bct1} {
+		if _, err := tracefile.ReadTrace(bytes.NewReader(data)); !errors.Is(err, tracefile.ErrBadMagic) {
+			t.Errorf("%s: ReadTrace = %v, want ErrBadMagic", name, err)
 		}
 	}
 }
 
-func TestCorruptOpcode(t *testing.T) {
-	path, _ := tempTrace(t, "wc")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[12+12] = 200 // first event's op byte
-	tr, err := tracefile.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Next(); err == nil {
-		t.Fatal("corrupt opcode accepted")
-	}
-}
-
+// TestCallsNotRecorded: CALL events never reach a trace, whether it is
+// recorded in memory (Trace.Hook) or streamed to a file (BCT2Writer.Hook).
 func TestCallsNotRecorded(t *testing.T) {
-	path, live := tempTrace(t, "tar")
-	for _, ev := range live {
-		if !ev.Op.IsBranch() {
-			t.Fatal("non-branch in live set (test bug)")
-		}
+	path, live, calls := tempTrace(t, "tar")
+	if calls == 0 {
+		t.Fatal("tar emitted no CALL events; the test proves nothing")
 	}
-	f, _ := os.Open(path)
-	defer f.Close()
-	tr, err := tracefile.NewReader(f)
+	b, err := workloads.ByName("tar")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	err = tr.Replay(func(ev vm.BranchEvent) {
-		if !ev.Op.IsBranch() {
-			t.Fatal("non-branch event in trace")
-		}
-		n++
-	})
+	prog, err := b.Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(live) {
-		t.Fatalf("replayed %d events, want %d", n, len(live))
+	mem := &tracefile.Trace{}
+	if _, err := vm.Run(prog, b.Input(0), mem.Hook(), vm.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	var replayed []vm.BranchEvent
+	mem.Replay(func(ev vm.BranchEvent) { replayed = append(replayed, ev) })
+	for name, evs := range map[string][]vm.BranchEvent{"Trace.Hook": replayed, "BCT2Writer.Hook": readEvents(t, path)} {
+		if len(evs) != len(live) {
+			t.Fatalf("%s: %d events, want %d branches", name, len(evs), len(live))
+		}
+		for i, ev := range evs {
+			if !ev.Op.IsBranch() {
+				t.Fatalf("%s: event %d is a non-branch %v", name, i, ev.Op)
+			}
+		}
+	}
+}
+
+// TestCorruptOpcode: an event whose opcode is not a branch never reaches a
+// file: BCT2Writer refuses it with a sticky error that Close returns.
+func TestCorruptOpcode(t *testing.T) {
+	tw, err := tracefile.NewBCT2Writer(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw.Record(vm.BranchEvent{PC: 3, ID: 3, Op: isa.Op(200), Taken: true, Target: 9})
+	tw.Record(vm.BranchEvent{PC: 4, ID: 4, Op: isa.BEQ, Taken: true, Target: 9})
+	if err := tw.Close(); err == nil || !strings.Contains(err.Error(), "non-branch op 200") {
+		t.Fatalf("Close = %v, want a non-branch op error", err)
+	}
+	if tw.Count() != 0 {
+		t.Fatalf("recorded %d events after the corrupt one", tw.Count())
 	}
 }
