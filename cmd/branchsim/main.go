@@ -309,7 +309,7 @@ func main() {
 			_, t, err := experiments.Scaling(suite)
 			return render(t, err)
 		},
-		"crossval": func() (string, error) { _, t, err := experiments.CrossVal(names); return render(t, err) },
+		"crossval": func() (string, error) { _, t, err := experiments.CrossVal(suite, names); return render(t, err) },
 		"icache": func() (string, error) {
 			_, t, err := experiments.ICache(suite, names, []int{2, 4, 8})
 			return render(t, err)

@@ -3,13 +3,14 @@
 // VM pass over its input suite that produces both the profile and an
 // in-memory branch trace, then score every requested prediction scheme by
 // replaying that trace in parallel. Schemes come from the predict.Scheme
-// registry; transformed schemes (the Forward Semantic) additionally get one
-// VM pass over the transformed binary, whose stream depends on the slot
-// depth. With Config.Corpus set, the recording pass itself is served from
-// the disk-backed trace corpus (internal/corpus) whenever an entry for the
-// exact (program, input-suite) pair exists, so warm evaluations execute no
-// VM at all for replayed schemes. The root branchcost package re-exports
-// this API.
+// registry. The Forward Semantic is scored from the same trace: the
+// transform's layout fixes the direction of every branch
+// (fs.Result.Predictor), so its transformed binary is built but only run
+// for Config.ICache. With Config.Corpus set, the recording pass itself is
+// served from the disk-backed trace corpus (internal/corpus) whenever an
+// entry for the exact (program, input-suite) pair exists, so a warm
+// evaluation without Config.ICache executes no VM at all. The root
+// branchcost package re-exports this API.
 package core
 
 import (
@@ -39,9 +40,10 @@ import (
 // the evaluation's side measurements and limits. The zero value is the
 // paper's configuration.
 type Config struct {
-	// EvalSlots is the k+ℓ used for the measured FS binary; nil means the
-	// paper's 2. The measured accuracy is independent of it (slots never
-	// execute), but the binary's layout and code growth depend on it.
+	// EvalSlots is the k+ℓ of the FS binary the transform materializes
+	// (Eval.FSResult, its code growth, the ICache measurement); nil means
+	// the paper's 2. The scored accuracy is independent of it: the layout's
+	// branch directions do not depend on the slot count.
 	EvalSlots *int
 
 	// FlushEvery, when positive, resets the predictors every N branches
@@ -75,7 +77,7 @@ type Config struct {
 	ICache *icache.Geometry
 
 	// MaxVMSteps, when positive, bounds every VM run of the evaluation
-	// (profiling, recording, and the FS measurement pass) to that many
+	// (profiling, recording, and the ICache measurement) to that many
 	// dynamic instructions — the step-budget watchdog that converts a
 	// runaway workload into a located trap instead of a hung suite. Zero
 	// means the VM default (1<<34).
@@ -156,9 +158,9 @@ type Eval struct {
 	// instead of re-running the VM per configuration point.
 	Trace *tracefile.Trace
 
-	// FSResult is the transform used for the FS measurement (layout, code
-	// growth at Config.EvalSlots, trace statistics). Nil when no transformed
-	// scheme was scored.
+	// FSResult is the transform FS was scored from (layout, direction
+	// table, code growth at Config.EvalSlots, trace statistics). Nil when no
+	// transformed scheme was scored.
 	FSResult *fs.Result
 
 	// AnalyticFS is A_FS computed from the profile alone; it must equal
@@ -180,8 +182,8 @@ type Eval struct {
 
 	// CorpusKey is the content hash consulted when Config.Corpus was set
 	// ("" otherwise), VMRuns the number of live VM executions this
-	// evaluation performed (0 for a warm corpus with no transformed
-	// scheme), WallNS its wall-clock time, and Phases the per-phase
+	// evaluation performed (0 for any warm evaluation without
+	// Config.ICache), WallNS its wall-clock time, and Phases the per-phase
 	// breakdown. All four feed the run manifest (see Manifest).
 	CorpusKey string
 	VMRuns    int64
@@ -211,9 +213,9 @@ func (e *Eval) CBTB() SchemeResult { return e.Schemes["cbtb"] }
 func (e *Eval) FS() SchemeResult { return e.Schemes["fs"] }
 
 // EvaluateBenchmark runs the full pipeline for one benchmark: a single
-// profiling+recording pass over the original binary (all inputs), trace
-// replay for every non-transformed scheme, and — for the Forward Semantic —
-// the transform plus one measurement pass over the transformed binary.
+// profiling+recording pass over the original binary (all inputs), the
+// Forward Semantic transform when fs is scored, and one trace replay that
+// scores every scheme.
 func EvaluateBenchmark(b *workloads.Benchmark, cfg Config) (*Eval, error) {
 	return EvaluateBenchmarkContext(context.Background(), b, cfg)
 }
@@ -255,8 +257,8 @@ func Evaluate(name string, prog *isa.Program, profInputs, evalInputs [][]byte, c
 // EvaluateContext is Evaluate with cancellation (checked between VM runs
 // and periodically inside trace replay) and, when Config.Corpus is set,
 // disk-backed trace reuse: a warm corpus supplies the profile and recorded
-// trace without executing the VM, leaving the Forward Semantic's measurement
-// pass over the transformed binary as the only live execution.
+// trace without executing the VM. Only Config.ICache runs the VM over the
+// transformed binary.
 func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profInputs, evalInputs [][]byte, cfg Config) (*Eval, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.SchemeConfigs.Validate(); err != nil {
@@ -421,74 +423,38 @@ func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profIn
 		e.phase("fs.transform", start)
 	}
 
-	// Build one evaluator per scheme, then score:
-	// non-transformed schemes replay the recorded trace concurrently;
-	// transformed schemes share one multiplexed pass over the transformed
-	// binary, with synthetic fixup jumps excluded so every scheme scores
-	// the same branch set.
+	// Build one evaluator per scheme and score them all in one replay of the
+	// trace. Transformed schemes score the layout's direction table over
+	// the original binary's stream, in the original binary's coordinates.
 	type job struct {
 		name string
 		ev   *predict.Evaluator
 		rec  *attr.Recorder // nil unless Config.Attribution was set
 	}
 	jobs := make([]*job, len(schemes))
-	var replayed []*predict.Evaluator
-	var transformed []*job
+	evs := make([]*predict.Evaluator, len(schemes))
 	for i, sc := range schemes {
-		sctx := predict.SchemeContext{Prog: prog, Profile: e.Profile, Configs: cfg.SchemeConfigs}
+		var p predict.Predictor
 		if sc.Transformed {
-			sctx.Prog = fsRes.Prog
+			p = fsRes.Predictor(prog)
+		} else {
+			p = sc.New(predict.SchemeContext{Prog: prog, Profile: e.Profile, Configs: cfg.SchemeConfigs})
 		}
-		j := &job{
-			name: names[i],
-			ev:   &predict.Evaluator{P: sc.New(sctx), FlushEvery: cfg.FlushEvery},
-		}
+		j := &job{name: names[i], ev: &predict.Evaluator{P: p, FlushEvery: cfg.FlushEvery}}
 		if cfg.Attribution != nil {
 			j.rec = attr.NewRecorder(*cfg.Attribution)
 			j.ev.Obs = j.rec
 		}
-		jobs[i] = j
-		if sc.Transformed {
-			transformed = append(transformed, j)
-		} else {
-			replayed = append(replayed, j.ev)
-		}
+		jobs[i], evs[i] = j, j.ev
 	}
-	if len(replayed) > 0 {
-		start := time.Now()
-		rctx, span := telemetry.StartSpan(ctx, "core.replay")
-		err := tracefile.Score(rctx, e.Trace, replayed)
-		span.End()
-		if err != nil {
-			return nil, err
-		}
-		e.phase("replay", start)
+	start := time.Now()
+	rctx, span := telemetry.StartSpan(ctx, "core.replay")
+	err := tracefile.Score(rctx, e.Trace, evs)
+	span.End()
+	if err != nil {
+		return nil, err
 	}
-	if len(transformed) > 0 {
-		fsHook := func(ev vm.BranchEvent) {
-			if fsRes.SyntheticID(ev.ID) {
-				return
-			}
-			for _, j := range transformed {
-				j.ev.Observe(ev)
-			}
-		}
-		start := time.Now()
-		fctx, span := telemetry.StartSpan(ctx, "core.fs.eval")
-		for i, in := range evalInputs {
-			if err := fctx.Err(); err != nil {
-				span.End()
-				return nil, err
-			}
-			if _, err := vm.Run(fsRes.Prog, in, fsHook, vm.Config{Metrics: set, Ctx: fctx, MaxSteps: cfg.MaxVMSteps}); err != nil {
-				span.End()
-				return nil, fmt.Errorf("core: %s: FS evaluation run %d: %w", name, i, err)
-			}
-			e.VMRuns++
-		}
-		span.End()
-		e.phase("fs.eval", start)
-	}
+	e.phase("replay", start)
 	if cfg.ICache != nil && fsRes != nil {
 		start := time.Now()
 		ictx, span := telemetry.StartSpan(ctx, "core.icache")

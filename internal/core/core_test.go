@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"branchcost/internal/attr"
 	"branchcost/internal/compile"
 	"branchcost/internal/core"
 	"branchcost/internal/pipeline"
@@ -246,5 +247,33 @@ func TestEvaluateBenchmarkCached(t *testing.T) {
 	// Determinism end to end.
 	if e1.FS().Stats != e2.FS().Stats || e1.SBTB().Stats != e2.SBTB().Stats {
 		t.Fatal("evaluation is nondeterministic")
+	}
+}
+
+// TestFSAttributionOriginalCoordinates: the Forward Semantic is scored over
+// the original binary's trace, so its attribution sites carry the original
+// binary's PC and opcode, not the transformed layout's.
+func TestFSAttributionOriginalCoordinates(t *testing.T) {
+	b, err := workloads.ByName("cmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.EvaluateBenchmark(b, core.Config{Attribution: &attr.Options{TopK: 1 << 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := e.Attr["fs"]
+	if sum == nil || len(sum.TopSites) == 0 || sum.Overflow != nil {
+		t.Fatalf("fs attribution %+v, want every site tracked", sum)
+	}
+	if e.FSResult.Inversions == 0 {
+		t.Fatal("cmp's layout inverts no branch; the opcode check would be vacuous")
+	}
+	for _, site := range sum.TopSites {
+		if want := e.Program.Canonical(site.ID); site.PC != want {
+			t.Errorf("fs site ID %d at PC %d, want %d", site.ID, site.PC, want)
+		} else if op := e.Program.Code[site.PC].Op.String(); site.Op != op {
+			t.Errorf("fs site ID %d has op %s, want the original %s", site.ID, site.Op, op)
+		}
 	}
 }

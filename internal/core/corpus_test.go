@@ -6,6 +6,7 @@ import (
 
 	"branchcost/internal/core"
 	"branchcost/internal/corpus"
+	"branchcost/internal/predict"
 	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
 )
@@ -28,8 +29,8 @@ func evalWith(t *testing.T, name string, cfg core.Config) (*core.Eval, int64) {
 
 // TestCorpusWarmMatchesLive: with the default schemes, a warm-corpus
 // evaluation must score bit-identically to a live one, flag FromCorpus, and
-// execute the VM only for the Forward Semantic's measurement pass over the
-// transformed binary (one run per input).
+// execute no VM at all: the Forward Semantic scores from the stored trace
+// like the hardware schemes.
 func TestCorpusWarmMatchesLive(t *testing.T) {
 	store, err := corpus.Open(t.TempDir())
 	if err != nil {
@@ -47,18 +48,17 @@ func TestCorpusWarmMatchesLive(t *testing.T) {
 	if cold.FromCorpus {
 		t.Fatal("cold corpus claimed a hit")
 	}
-	// Cold: profiling+recording pass (nIn) plus the FS pass (nIn).
-	if coldRuns != 2*nIn {
-		t.Fatalf("cold evaluation cost %d VM runs, want %d", coldRuns, 2*nIn)
+	// Cold: the profiling+recording pass only, one run per input.
+	if coldRuns != nIn {
+		t.Fatalf("cold evaluation cost %d VM runs, want %d", coldRuns, nIn)
 	}
 
 	warm, warmRuns := evalWith(t, "wc", core.Config{Corpus: store})
 	if !warm.FromCorpus {
 		t.Fatal("warm corpus missed")
 	}
-	// Warm: only the FS live pass touches the VM.
-	if warmRuns != nIn {
-		t.Fatalf("warm evaluation cost %d VM runs, want %d (FS pass only)", warmRuns, nIn)
+	if warmRuns != 0 {
+		t.Fatalf("warm evaluation cost %d VM runs, want 0", warmRuns)
 	}
 	for _, name := range warm.Order {
 		if warm.Schemes[name].Stats != live.Schemes[name].Stats {
@@ -71,19 +71,22 @@ func TestCorpusWarmMatchesLive(t *testing.T) {
 	}
 }
 
-// TestCorpusWarmZeroVM: with no transformed scheme in the set, a warm-corpus
-// evaluation must perform no VM execution at all — the acceptance criterion
-// for the suite-level scheduler.
+// TestCorpusWarmZeroVM: with every registered scheme in the set, a cold
+// evaluation runs the VM once per input and a warm-corpus evaluation not at
+// all — the acceptance criterion for the suite-level scheduler.
 func TestCorpusWarmZeroVM(t *testing.T) {
 	store, err := corpus.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{
-		Corpus:  store,
-		Schemes: []string{"sbtb", "cbtb", "always-taken", "btfnt"},
+	cfg := core.Config{Corpus: store, Schemes: predict.Names()}
+	b, err := workloads.ByName("cmp")
+	if err != nil {
+		t.Fatal(err)
 	}
-	evalWith(t, "cmp", cfg) // cold: populates the corpus
+	if _, coldRuns := evalWith(t, "cmp", cfg); coldRuns != int64(len(b.Inputs())) {
+		t.Fatalf("cold evaluation executed the VM %d times, want %d", coldRuns, len(b.Inputs()))
+	}
 
 	warm, warmRuns := evalWith(t, "cmp", cfg)
 	if !warm.FromCorpus {

@@ -447,46 +447,40 @@ func TraceSelection(s *Suite, names []string) ([]TraceRow, *stats.Table, error) 
 	}
 	t := stats.NewTable("Ablation: trace-selection parameters (k+l = 2)",
 		"Configuration", "A_FS", "Code growth", "Traces", "Inversions")
-	var rows []TraceRow
-	for _, cfg := range configs {
-		r := TraceRow{Label: cfg.label}
-		for _, name := range names {
-			e, err := s.Eval(name)
-			if err != nil {
-				return nil, nil, err
-			}
+	// Score every layout's direction table in one replay of the suite's
+	// trace per benchmark.
+	rows := make([]TraceRow, len(configs))
+	for _, name := range names {
+		e, err := s.Eval(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		evs := make([]*predict.Evaluator, len(configs))
+		for i, cfg := range configs {
 			res, err := fs.TransformOpts(e.Program, e.Profile, 2, cfg.sel)
 			if err != nil {
 				return nil, nil, err
 			}
-			// Measure A_FS on this layout.
-			ev := &predict.Evaluator{P: predict.LikelyBit{Targets: predict.ProgramTargets{Prog: res.Prog}}}
-			b, err := workloads.ByName(name)
-			if err != nil {
-				return nil, nil, err
-			}
-			hook := func(e2 vm.BranchEvent) {
-				if res.SyntheticID(e2.ID) {
-					return
-				}
-				ev.Observe(e2)
-			}
-			for run := 0; run < b.Runs; run++ {
-				if _, err := vm.Run(res.Prog, b.Input(run), hook, vm.Config{}); err != nil {
-					return nil, nil, err
-				}
-			}
-			r.AFS += ev.S.Accuracy()
-			r.Growth += res.CodeGrowth()
-			r.Traces += float64(res.NumTraces)
-			r.Inversions += float64(res.Inversions)
+			evs[i] = &predict.Evaluator{P: res.Predictor(e.Program)}
+			rows[i].Growth += res.CodeGrowth()
+			rows[i].Traces += float64(res.NumTraces)
+			rows[i].Inversions += float64(res.Inversions)
 		}
-		n := float64(len(names))
+		if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
+			return nil, nil, err
+		}
+		for i, ev := range evs {
+			rows[i].AFS += ev.S.Accuracy()
+		}
+	}
+	n := float64(len(names))
+	for i, cfg := range configs {
+		r := &rows[i]
+		r.Label = cfg.label
 		r.AFS /= n
 		r.Growth /= n
 		r.Traces /= n
 		r.Inversions /= n
-		rows = append(rows, r)
 		t.AddRow(r.Label, stats.Pct(r.AFS), stats.Pct(r.Growth),
 			fmt.Sprintf("%.1f", r.Traces), fmt.Sprintf("%.1f", r.Inversions))
 	}

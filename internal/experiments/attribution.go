@@ -33,13 +33,13 @@ type SchemeAttribution struct {
 
 // OverlapSite is one (benchmark, instruction ID) site in the overlap
 // analysis, with the schemes whose top-K it appears in and its worst
-// observed mispredict count. Sites match on the stable instruction ID, not
-// the PC: transformed schemes (FS) score a relaid-out binary whose PCs share
-// no address space with the original, while IDs survive the transform.
+// observed mispredict count. Every scheme, the Forward Semantic included,
+// is scored over the original binary's trace, so a site's PC and opcode are
+// the original binary's whichever scheme ranked it.
 type OverlapSite struct {
 	Benchmark   string   `json:"benchmark"`
 	ID          int32    `json:"id"`
-	PC          int32    `json:"pc"` // PC in the first scheme that ranked it
+	PC          int32    `json:"pc"` // in the original binary
 	Op          string   `json:"op,omitempty"`
 	Schemes     []string `json:"schemes"`
 	Mispredicts int64    `json:"mispredicts"` // max across schemes

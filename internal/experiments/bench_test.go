@@ -59,8 +59,8 @@ func BenchmarkContextSwitchReplay(b *testing.B) {
 }
 
 // BenchmarkContextSwitchReexec measures the flush sweep the pre-refactor
-// way: a fresh full evaluation — profile pass, transform, FS pass, scoring
-// — of every benchmark at every flush period. Replay skips everything but
+// way: a fresh full evaluation — profile pass, transform, scoring — of
+// every benchmark at every flush period. Replay skips everything but
 // the two flushed BTBs per period (~5x on one core, more with several).
 func BenchmarkContextSwitchReexec(b *testing.B) {
 	periods := []int64{0, 100000, 10000, 1000}
@@ -81,9 +81,9 @@ func BenchmarkContextSwitchReexec(b *testing.B) {
 
 // BenchmarkSuiteCorpusReplay measures a suite evaluation against a warm
 // corpus (populated before the timer): every iteration builds a fresh Suite
-// — no in-memory cache — and still performs VM execution only for the FS
-// live passes; the hardware schemes replay BCT2 traces from disk. Compare
-// with BenchmarkSuiteLiveReexec for the `make corpus-bench` pair.
+// — no in-memory cache — and performs no VM execution: every scheme replays
+// BCT2 traces from disk. Compare with BenchmarkSuiteLiveReexec for the
+// `make corpus-bench` pair.
 func BenchmarkSuiteCorpusReplay(b *testing.B) {
 	store, err := corpus.Open(b.TempDir())
 	if err != nil {

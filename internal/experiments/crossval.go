@@ -7,7 +7,6 @@ import (
 	"branchcost/internal/delay"
 	"branchcost/internal/pipeline"
 	"branchcost/internal/stats"
-	"branchcost/internal/workloads"
 )
 
 // CrossValRow compares self-profiled A_FS (the paper's methodology:
@@ -24,14 +23,21 @@ type CrossValRow struct {
 // CrossVal quantifies how much of the Forward Semantic's accuracy depends
 // on evaluating with the training inputs — the obvious methodological
 // question about the paper's §4 "exact same benchmarks with the same
-// inputs" setup. Benchmarks with a single run cannot be split and are
-// skipped.
-func CrossVal(names []string) ([]CrossValRow, *stats.Table, error) {
+// inputs" setup. It evaluates the paper's three schemes under the suite's
+// scheme configurations, step budget and slot depth, without a corpus: the
+// input halves are not the suite's inputs. Benchmarks with a single run
+// cannot be split and are skipped.
+func CrossVal(s *Suite, names []string) ([]CrossValRow, *stats.Table, error) {
 	t := stats.NewTable("Extension: self-profiled vs cross-validated accuracy (train even runs, test odd runs)",
 		"Benchmark", "A_FS self", "A_FS cross", "A_SBTB cross", "A_CBTB cross")
+	cfg := core.Config{
+		SchemeConfigs: s.Cfg.SchemeConfigs,
+		MaxVMSteps:    s.Cfg.MaxVMSteps,
+		EvalSlots:     s.Cfg.EvalSlots,
+	}
 	var rows []CrossValRow
 	for _, name := range names {
-		b, err := workloads.ByName(name)
+		b, err := s.lookup(name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -50,11 +56,11 @@ func CrossVal(names []string) ([]CrossValRow, *stats.Table, error) {
 				test = append(test, b.Input(run))
 			}
 		}
-		self, err := core.Evaluate(name, prog, test, test, core.Config{})
+		self, err := core.Evaluate(name, prog, test, test, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
-		cross, err := core.Evaluate(name, prog, train, test, core.Config{})
+		cross, err := core.Evaluate(name, prog, train, test, cfg)
 		if err != nil {
 			return nil, nil, err
 		}

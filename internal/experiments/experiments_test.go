@@ -9,6 +9,7 @@ import (
 	"branchcost/internal/experiments"
 	"branchcost/internal/pipeline"
 	"branchcost/internal/predict"
+	"branchcost/internal/workloads"
 )
 
 // suite is shared across tests; evaluation results are cached inside.
@@ -192,7 +193,7 @@ func TestFigureSeries(t *testing.T) {
 }
 
 func TestCrossValShape(t *testing.T) {
-	rows, tbl, err := experiments.CrossVal([]string{"wc", "grep"})
+	rows, tbl, err := experiments.CrossVal(suite, []string{"wc", "grep"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +210,49 @@ func TestCrossValShape(t *testing.T) {
 		if r.CrossAFS < 0.5 {
 			t.Errorf("%s: cross-validated accuracy collapsed: %.3f", r.Benchmark, r.CrossAFS)
 		}
+	}
+}
+
+// TestCrossValSchemeConfigs: CrossVal evaluates under the caller's suite
+// configuration, so a 16-entry direct-mapped SBTB moves wc's cross row to
+// exactly what a direct core.Evaluate under that configuration gives.
+func TestCrossValSchemeConfigs(t *testing.T) {
+	configs := predict.ConfigSet{
+		"sbtb": predict.SBTBConfig{BTBGeometry: predict.BTBGeometry{Entries: 16, Assoc: 1}},
+	}
+	paper, _, err := experiments.CrossVal(suite, []string{"wc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, _, err := experiments.CrossVal(experiments.NewSuite(core.Config{SchemeConfigs: configs}), []string{"wc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := workloads.ByName("wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := b.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var train, test [][]byte
+	for run := 0; run < b.Runs; run++ {
+		if run%2 == 0 {
+			train = append(train, b.Input(run))
+		} else {
+			test = append(test, b.Input(run))
+		}
+	}
+	e, err := core.Evaluate("wc", prog, train, test, core.Config{SchemeConfigs: configs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := e.SBTB().Stats.Accuracy(); small[0].CrossSBTB != want {
+		t.Errorf("16-entry direct-mapped A_SBTB cross %v, want %v from core.Evaluate", small[0].CrossSBTB, want)
+	}
+	if small[0].CrossSBTB == paper[0].CrossSBTB {
+		t.Errorf("16-entry direct-mapped A_SBTB cross %v equals the paper-config row", small[0].CrossSBTB)
 	}
 }
 

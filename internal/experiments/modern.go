@@ -25,7 +25,9 @@ type ModernRow struct {
 // paper's schemes and the predictor zoo — the table the 1989 data could not
 // contain: which scheme each modern branch regime rewards and which it
 // defeats. Schemes outside the suite's configured set are replayed from the
-// cached traces, so the whole table costs one recording pass.
+// cached traces, so the whole table costs one recording pass. The fs column
+// reads the suite's own evaluation, because only it holds the layout
+// whose directions FS predicts.
 func ModernSuite(s *Suite) ([]ModernRow, *stats.Table, error) {
 	headers := append([]string{"Benchmark", "Class"}, ModernSchemes...)
 	t := stats.NewTable("Modern workload classes: accuracy per scheme", headers...)
@@ -35,8 +37,8 @@ func ModernSuite(s *Suite) ([]ModernRow, *stats.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// fs scores through the suite's transformed-binary evaluation (as in
-		// the Pareto sweep); the hardware schemes replay the cached trace.
+		// fs is the suite's score (as in the Pareto sweep); the other
+		// schemes replay the cached trace.
 		evs := make([]*predict.Evaluator, len(ModernSchemes))
 		var replayed []*predict.Evaluator
 		for i, name := range ModernSchemes {

@@ -11,7 +11,7 @@ import (
 
 // TestModernSuite: the modern-class table covers every registered class
 // member, scores every scheme of the panel, and its fs column agrees with
-// the suite's transformed-binary evaluation (not a bare-trace replay). Under
+// the suite's own evaluation, which scores the layout's directions. Under
 // a non-default BTB geometry its sbtb and cbtb columns equal the suite's
 // own evaluation: both read the one configuration set.
 func TestModernSuite(t *testing.T) {

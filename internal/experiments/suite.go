@@ -29,7 +29,7 @@ import (
 // for the same benchmark coalesce onto one evaluation (singleflight), and
 // suite-wide fan-out runs through a worker pool bounded by Workers — the
 // suite-level scheduler: with Cfg.Corpus warm, a full Tables/Headline pass
-// schedules only replays and the FS live passes.
+// schedules only replays.
 type Suite struct {
 	Cfg core.Config
 

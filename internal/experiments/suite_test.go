@@ -43,8 +43,8 @@ func TestSuiteSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One profiling+recording pass plus one FS pass, once — not per caller.
-	if runs, want := vm.RunCount.Load()-before, 2*int64(len(b.Inputs())); runs != want {
+	// One profiling+recording pass, once — not per caller.
+	if runs, want := vm.RunCount.Load()-before, int64(len(b.Inputs())); runs != want {
 		t.Fatalf("8 concurrent Evals cost %d VM runs, want %d", runs, want)
 	}
 }
@@ -148,16 +148,14 @@ func TestSuiteEvalContextCancelled(t *testing.T) {
 }
 
 // TestSuiteWarmCorpusSchedulesNoVM: after one suite warms the corpus, a
-// fresh suite (fresh process, in effect) must evaluate benchmarks for the
-// hardware schemes with zero VM execution — the FS live pass is the only
-// execution a warm-corpus evaluation schedules, and dropping "fs" from the
-// scheme set drops it too.
+// fresh suite (fresh process, in effect) must evaluate benchmarks with zero
+// VM execution.
 func TestSuiteWarmCorpusSchedulesNoVM(t *testing.T) {
 	store, err := corpus.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Corpus: store, Schemes: []string{"sbtb", "cbtb"}}
+	cfg := core.Config{Corpus: store}
 	names := []string{"wc", "cmp"}
 	if _, err := experiments.NewSuite(cfg).EvalNames(context.Background(), names); err != nil {
 		t.Fatal(err)

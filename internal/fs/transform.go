@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"branchcost/internal/isa"
+	"branchcost/internal/predict"
 	"branchcost/internal/profile"
 )
 
@@ -20,6 +21,14 @@ type Result struct {
 	Inversions     int // conditional branches inverted during layout
 	NumTraces      int
 	SlotCount      int // k+ℓ used
+
+	// PredictTaken holds, by original instruction ID, the direction the
+	// layout predicts for each conditional branch, in the original
+	// binary's orientation: the likely bit, flipped back where the layout
+	// inverted the branch. Other instructions' entries are false. It is
+	// what the transformed binary's likely bits say about the original
+	// binary's branch stream (see Predictor).
+	PredictTaken []bool
 }
 
 // CodeGrowth returns the fractional code-size increase (the paper's
@@ -64,7 +73,8 @@ func TransformOpts(p *isa.Program, prof *profile.Profile, slotCount int, sel Sel
 	}
 	traces := SelectTracesOpts(g, sel)
 
-	res := &Result{OrigSize: len(p.Code), NumTraces: len(traces), SlotCount: slotCount}
+	res := &Result{OrigSize: len(p.Code), NumTraces: len(traces), SlotCount: slotCount,
+		PredictTaken: make([]bool, len(p.Code))}
 
 	stat := func(id int32) *profile.BranchStat {
 		if prof == nil {
@@ -82,24 +92,29 @@ func TransformOpts(p *isa.Program, prof *profile.Profile, slotCount int, sel Sel
 				in := p.Code[id]
 				if in.Op.IsCondBranch() {
 					// Invert so the in-trace successor is the fall path.
+					inverted := false
 					if bi+1 < len(t.Blocks) {
 						next := t.Blocks[bi+1]
 						if id == b.Terminator() && in.Target == next.Start && in.Fall != next.Start {
 							in.Op = in.Op.Invert()
 							in.Target, in.Fall = in.Fall, in.Target
+							inverted = true
 							res.Inversions++
 						}
 					}
 					// Likely bit: the profile majority of the (possibly
-					// inverted) taken direction.
+					// inverted) taken direction. A tie is not taken, so a
+					// tied branch the layout inverted predicts the original
+					// taken direction.
 					in.Likely = false
 					if s := stat(id); s != nil && s.Exec > 0 {
 						takenCount := s.Taken
-						if in.Target != p.Code[id].Target { // inverted
+						if inverted {
 							takenCount = s.NotTaken()
 						}
 						in.Likely = takenCount*2 > s.Exec
 					}
+					res.PredictTaken[id] = in.Likely != inverted
 				}
 				if in.Op == isa.JMP {
 					in.Likely = true
@@ -232,7 +247,18 @@ func TransformOpts(p *isa.Program, prof *profile.Profile, slotCount int, sel Sel
 }
 
 // SyntheticID reports whether a branch ID was introduced by the transform
-// (fixup jumps) rather than present in the original program. Accuracy
-// measurements exclude synthetic branches so that all three schemes are
-// scored on the same branch stream.
+// (fixup jumps) rather than present in the original program. Scoring the
+// transformed binary's stream skips synthetic branches, so that every scheme
+// is scored on the same branch set.
 func (r *Result) SyntheticID(id int32) bool { return int(id) >= r.OrigSize }
+
+// Predictor returns the Forward Semantic's predictor for the branch stream
+// of orig, the program the transform laid out: conditional branches follow
+// PredictTaken, jumps follow predict.LikelyBit's rules with orig's targets.
+// Over a recording of orig it gives, event for event, the outcomes
+// predict.LikelyBit gives over the transformed binary's stream with
+// synthetic branches skipped, so scoring the Forward Semantic needs no run
+// of the transformed binary.
+func (r *Result) Predictor(orig *isa.Program) predict.Predictor {
+	return predict.LikelyTable{Taken: r.PredictTaken, Targets: predict.ProgramTargets{Prog: orig}}
+}

@@ -13,8 +13,9 @@ import (
 // schemes (pure hardware predictors, trivial statics) ignore Prog and
 // Profile, which lets them replay bare trace files.
 type SchemeContext struct {
-	// Prog is the binary whose branch stream is scored. For schemes with
-	// Transformed set it is the Forward-Semantic-transformed binary.
+	// Prog is the binary whose branch stream is scored: the original
+	// binary, except that a Transformed scheme's New expects the
+	// Forward-Semantic-transformed binary (see Scheme.Transformed).
 	Prog *isa.Program
 	// Profile is the aggregate profile of the original binary (nil when the
 	// caller has none; schemes that require it set NeedsContext).
@@ -38,9 +39,11 @@ type Scheme struct {
 	Name        string
 	Description string
 
-	// Transformed schemes score the branch stream of the Forward-Semantic-
-	// transformed binary (one extra VM pass per slot depth) rather than the
-	// recorded original-binary trace.
+	// Transformed marks the Forward Semantic. Its New predicts over the
+	// transformed binary's branch stream; that is the reference. Core
+	// scores a Transformed scheme from the recorded original-binary trace
+	// instead, through the direction table of the transform's layout
+	// (fs.Result.Predictor), which gives the same outcome for every event.
 	Transformed bool
 
 	// NeedsContext schemes require ctx.Prog (and possibly ctx.Profile) and

@@ -112,13 +112,36 @@ func (LikelyBit) Name() string { return "forward-semantic" }
 
 // Predict implements Predictor.
 func (l LikelyBit) Predict(ev vm.BranchEvent) Prediction {
+	return likely(ev, ev.Likely, l.Targets)
+}
+
+// LikelyTable is LikelyBit with the conditional directions in a table
+// instead of the encoding: a conditional branch goes the way Taken[ev.ID]
+// says. It scores a Forward Semantic layout over the original binary's
+// branch stream; fs.Result.Predictor builds it from the layout.
+type LikelyTable struct {
+	staticBase
+	Taken   []bool // by instruction ID
+	Targets TargetResolver
+}
+
+// Name implements Predictor.
+func (LikelyTable) Name() string { return "forward-semantic" }
+
+// Predict implements Predictor.
+func (l LikelyTable) Predict(ev vm.BranchEvent) Prediction {
+	return likely(ev, l.Taken[ev.ID], l.Targets)
+}
+
+// likely applies LikelyBit's rules, with taken as a conditional branch's
+// predicted direction: direct jumps are taken to their static target,
+// indirect jumps are taken to -1, and every prediction is a hit.
+func likely(ev vm.BranchEvent, taken bool, targets TargetResolver) Prediction {
 	switch {
-	case ev.Op == isa.JMP:
-		return Prediction{Taken: true, Target: l.Targets.TargetAt(ev.PC), Hit: true}
 	case ev.Op == isa.JMPI:
 		return Prediction{Taken: true, Target: -1, Hit: true}
-	case ev.Likely:
-		return Prediction{Taken: true, Target: l.Targets.TargetAt(ev.PC), Hit: true}
+	case ev.Op == isa.JMP, taken:
+		return Prediction{Taken: true, Target: targets.TargetAt(ev.PC), Hit: true}
 	default:
 		return Prediction{Taken: false, Hit: true}
 	}
