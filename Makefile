@@ -15,12 +15,18 @@ verify:
 	$(GO) run ./cmd/btrace -corpus $(VERIFY_CORPUS) -record-suite
 	$(GO) run ./cmd/btrace -corpus $(VERIFY_CORPUS) -verify
 
-# Frontend-model gate: replay every benchmark's recorded streams through the
-# trace-fed pipeline simulator at W ∈ {1,2,4,8} and assert the calibrated
-# analytic cost models agree with the simulation within each run's provable
-# tolerance (exact at W=1, alignment-bounded at wider fetch). Covers all
-# benchmarks including Table 5's extras; exits nonzero on any violation.
+# Frontend-model gate. First the two identity tests that make the
+# trace-fed pipeline simulator exact, on every registered benchmark for the
+# original and the FS-transformed binary: the walk (vm.Walk) rebuilds the
+# VM's fetch stream position for position, and the trace-driven pipesim.Sim
+# equals the live one field for field at W ∈ {1,2,4,8}. Then replay every
+# paper benchmark (Table 5's extras included) through the simulator and
+# assert the calibrated analytic cost models agree with the simulation
+# within each run's provable tolerance (exact at W=1, alignment-bounded at
+# wider fetch); exits nonzero on any violation.
 frontend-check:
+	$(GO) test -count=1 -run 'TestWalkMatchesRun' ./internal/vm
+	$(GO) test -count=1 -run 'TestTraceDrivenMatchesLive' ./internal/pipesim
 	$(GO) run ./cmd/branchsim -frontend-check
 
 # Storage-vs-accuracy frontier: replay the predictor zoo (SBTB/CBTB/btb2l
@@ -138,7 +144,7 @@ figures:
 
 ablations:
 	for a in counter btbsize assoc ctxswitch static cycle scaling \
-	         delay icache crossval opt superscalar hwcost sensitivity traces \
+	         delay icache crossval opt hwcost sensitivity traces \
 	         frontend pareto; do \
 		$(GO) run ./cmd/branchsim -ablate $$a; done
 

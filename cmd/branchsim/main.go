@@ -9,7 +9,7 @@
 //	branchsim -headline            # the introduction's cycles/branch numbers
 //	branchsim -ablate counter      # counter|btbsize|assoc|ctxswitch|static|cycle|scaling
 //	branchsim -bench grep -table 3 # restrict ablations to one benchmark
-//	branchsim -frontend -width 1,2,4,8   # frontend cost-model sweep
+//	branchsim -frontend -width 1,2,4,8   # frontend sweep: cost, utilization, IPC
 //	branchsim -frontend-check            # model-vs-pipesim agreement, all benchmarks
 //	branchsim -pareto -pareto-json pareto.json   # storage-vs-accuracy frontier
 //	branchsim -modern                    # adversarial workload classes vs the scheme zoo
@@ -49,6 +49,7 @@ import (
 	"branchcost/internal/core"
 	"branchcost/internal/corpus"
 	"branchcost/internal/experiments"
+	"branchcost/internal/pipesim"
 	"branchcost/internal/predict"
 	"branchcost/internal/stats"
 	"branchcost/internal/telemetry"
@@ -69,7 +70,7 @@ func main() {
 		table    = flag.Int("table", 0, "regenerate one table (1..5)")
 		figure   = flag.Int("figure", 0, "regenerate one figure (3 or 4)")
 		headline = flag.Bool("headline", false, "regenerate the introduction's comparison")
-		ablate   = flag.String("ablate", "", "ablation: counter|btbsize|assoc|ctxswitch|static|cycle|scaling|crossval|icache|delay|opt|superscalar|hwcost|sensitivity|traces|frontend|pareto")
+		ablate   = flag.String("ablate", "", "ablation: counter|btbsize|assoc|ctxswitch|static|cycle|scaling|crossval|icache|delay|opt|hwcost|sensitivity|traces|frontend|pareto")
 		all      = flag.Bool("all", false, "regenerate everything")
 		benchSel = flag.String("bench", "", "comma-separated benchmark subset for ablations (default: all primary)")
 
@@ -137,7 +138,7 @@ func main() {
 
 	names := benchNames(*benchSel)
 
-	widths, err := parseWidths(*widthSel)
+	widths, err := pipesim.ParseWidths(*widthSel) // nil: experiments sweep FrontendWidths
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "branchsim: %v\n", err)
 		os.Exit(2)
@@ -319,16 +320,12 @@ func main() {
 			return render(t, err)
 		},
 		"opt": func() (string, error) { _, t, err := experiments.Optimizer(names); return render(t, err) },
-		"superscalar": func() (string, error) {
-			_, t, err := experiments.Superscalar(suite, names)
-			return render(t, err)
-		},
 		"hwcost": func() (string, error) {
 			_, t, err := experiments.HardwareCost(suite, names)
 			return render(t, err)
 		},
 		"sensitivity": func() (string, error) {
-			_, t, err := experiments.Sensitivity(names, 3)
+			_, t, err := experiments.Sensitivity(suite, names, 3)
 			return render(t, err)
 		},
 		"traces": func() (string, error) {
@@ -353,7 +350,7 @@ func main() {
 		run("ablation "+*ablate, f)
 	}
 	if *all {
-		for _, name := range []string{"counter", "btbsize", "assoc", "ctxswitch", "static", "cycle", "crossval", "icache", "delay", "opt", "superscalar", "hwcost", "sensitivity", "traces", "frontend", "pareto"} {
+		for _, name := range []string{"counter", "btbsize", "assoc", "ctxswitch", "static", "cycle", "crossval", "icache", "delay", "opt", "hwcost", "sensitivity", "traces", "frontend", "pareto"} {
 			run("ablation "+name, ablations[name])
 		}
 	}
@@ -388,22 +385,6 @@ func render(t *stats.Table, err error) (string, error) {
 
 // outputFormat is set from -format before any experiment runs.
 var outputFormat string
-
-// parseWidths parses the -width list; empty selects the default sweep.
-func parseWidths(sel string) ([]int, error) {
-	if sel == "" {
-		return nil, nil // experiments substitute FrontendWidths
-	}
-	var widths []int
-	for _, part := range strings.Split(sel, ",") {
-		var w int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &w); err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -width element %q (want positive integers)", part)
-		}
-		widths = append(widths, w)
-	}
-	return widths, nil
-}
 
 // benchGroups expands a -bench selector element that names a group rather
 // than a single benchmark: the registry slices (primary, all, modern,

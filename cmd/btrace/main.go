@@ -9,7 +9,7 @@
 //	btrace grep.bt                             # replay through every context-free scheme
 //	btrace -scheme cbtb -entries 64 -assoc 4 grep.bt  # one scheme, custom geometry
 //	btrace -scheme tage -scheme-opt tage.tables=5 grep.bt  # per-scheme option
-//	btrace -frontend -width 1,2,4,8 grep.bt    # trace-driven frontend cost report
+//	btrace -frontend -bench grep grep.bt       # trace-driven frontend cost report
 //	btrace -explain -topk 10 grep.bt           # per-scheme mispredict forensics
 //	btrace -explain-json attr.json grep.bt     # ... full attribution report as JSON
 //	btrace -inspect grep.bt                    # blocks, sites, events
@@ -22,6 +22,11 @@
 // -entries/-assoc shape both BTBs and -bits/-threshold the CBTB's counter;
 // -scheme-opt overrides win over them. A configuration no predictor can be
 // built from exits 2 before anything runs.
+//
+// -frontend walks the program between recorded branches to rebuild every
+// fetched instruction. A bare trace carries no program, so -bench names the
+// benchmark it was recorded from (exit 2 without it); a trace that does not
+// fit that program fails with the walk's located error (exit 1).
 //
 // -verify replays the trace through every context-free registered scheme and
 // a deliberately naive reference model (internal/oracle) in lockstep: the
@@ -50,6 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -73,7 +79,7 @@ import (
 func main() {
 	var (
 		record      = flag.Bool("record", false, "record a trace instead of replaying")
-		bench       = flag.String("bench", "", "benchmark to record")
+		bench       = flag.String("bench", "", "benchmark to record, or with -frontend the benchmark the trace was recorded from")
 		out         = flag.String("o", "trace.bt", "output path when recording")
 		inspect     = flag.Bool("inspect", false, "describe a trace file instead of replaying")
 		verify      = flag.Bool("verify", false, "differentially verify schemes against the oracle (one trace file, or the whole -corpus)")
@@ -85,7 +91,7 @@ func main() {
 		assoc       = flag.Int("assoc", 256, "SBTB and CBTB associativity")
 		bits        = flag.Int("bits", 2, "CBTB counter bits")
 		thresh      = flag.Int("threshold", -1, "CBTB counter threshold (-1: auto, the counter midpoint)")
-		frontend    = flag.Bool("frontend", false, "with replay: drive the trace-fed pipeline simulator and report per-width branch costs")
+		frontend    = flag.Bool("frontend", false, "with replay and -bench: drive the trace-fed pipeline simulator and report per-width branch costs")
 		widthSel    = flag.String("width", "", "comma-separated fetch widths for -frontend (default 1,2,4,8)")
 		explain     = flag.Bool("explain", false, "with replay: per-scheme mispredict forensics (top sites, accuracy over time)")
 		explainJSON = flag.String("explain-json", "", "with -explain: also write the full attribution report as JSON to this path")
@@ -144,15 +150,22 @@ func main() {
 			fmt.Fprintln(os.Stderr, "btrace: need a trace file to replay (or -record/-inspect/-record-suite/-ls)")
 			os.Exit(2)
 		}
-		widths, err := parseWidths(*widthSel, *frontend)
+		widths, err := pipesim.ParseWidths(*widthSel)
 		if err != nil {
 			fail(err)
+		}
+		if *frontend && widths == nil {
+			widths = []int{1, 2, 4, 8}
+		}
+		if len(widths) > 0 && *bench == "" {
+			fmt.Fprintln(os.Stderr, "btrace: -frontend needs -bench, the benchmark the trace was recorded from (a bare trace carries no program)")
+			os.Exit(2)
 		}
 		var rep *explainOpts
 		if *explain || *explainJSON != "" {
 			rep = &explainOpts{jsonPath: *explainJSON, opts: attr.Options{TopK: *topK, Window: *window}}
 		}
-		doReplay(ctx, flag.Arg(0), *scheme, configs, widths, rep)
+		doReplay(ctx, flag.Arg(0), *scheme, configs, widths, *bench, rep)
 	}
 	if err := tf.Close(nil); err != nil {
 		fail(err)
@@ -458,33 +471,13 @@ func replayable() []string {
 	return names
 }
 
-// parseWidths parses -width; with -frontend set and no list given, the
-// default sweep {1,2,4,8} applies.
-func parseWidths(sel string, frontend bool) ([]int, error) {
-	if sel == "" {
-		if frontend {
-			return []int{1, 2, 4, 8}, nil
-		}
-		return nil, nil
-	}
-	var widths []int
-	for _, part := range strings.Split(sel, ",") {
-		var w int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &w); err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -width element %q (want positive integers)", part)
-		}
-		widths = append(widths, w)
-	}
-	return widths, nil
-}
-
 // explainOpts carries the -explain configuration into the replay.
 type explainOpts struct {
 	jsonPath string
 	opts     attr.Options
 }
 
-func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSet, widths []int, explain *explainOpts) {
+func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSet, widths []int, bench string, explain *explainOpts) {
 	names := replayable()
 	if scheme != "" {
 		sc, ok := predict.Lookup(scheme)
@@ -503,27 +496,48 @@ func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSe
 		fail(err)
 	}
 	defer f.Close()
-	// -frontend: one trace-fed pipeline simulator per (scheme, width) rides
-	// the same replay, observing the scheme's evaluator.
+	r := bufio.NewReaderSize(f, 1<<20)
+	// -frontend walks the benchmark's program between events, bounded by
+	// the trace's recorded step and run totals, so the trace loads whole;
+	// otherwise blocks decode once and stream through the scorers.
+	var prog *branchcost.Program
+	var tr *tracefile.Trace
+	if len(widths) > 0 {
+		b, err := workloads.ByName(bench)
+		if err == nil {
+			prog, err = b.Program()
+		}
+		if err == nil {
+			tr, err = tracefile.ReadTraceContext(ctx, r)
+		}
+		if err != nil {
+			fail(err)
+		}
+	}
+	// One trace-fed pipeline simulator per (scheme, width) rides the same
+	// replay, observing the scheme's evaluator.
 	const fk, fl, fm = 1, 2, 2
 	evals := make([]*predict.Evaluator, len(names))
-	hooks := make([]vm.BranchFunc, len(names))
 	recs := make([]*attr.Recorder, len(names))
-	sims := make(map[string]map[int]*pipesim.Sim, len(names))
+	hooks := make([]vm.BranchFunc, len(names))
+	sims := make([][]*pipesim.Sim, len(names))
+	var fronts []*pipesim.Traced
 	for i, n := range names {
 		var obs predict.Observers
 		if explain != nil {
-			// One recorder per evaluator: the replay engine runs each hook
+			// One recorder per evaluator: the replay engine runs each sink
 			// on one goroutine at a time, so the single-goroutine recorder
 			// rides its evaluator safely.
 			recs[i] = attr.NewRecorder(explain.opts)
 			obs = append(obs, recs[i])
 		}
-		sims[n] = make(map[int]*pipesim.Sim, len(widths))
-		for _, w := range widths {
-			sim := pipesim.New(w, fk, fl, fm)
-			sims[n][w] = sim
-			obs = append(obs, sim.TraceObserver())
+		if tr != nil {
+			for _, w := range widths {
+				sims[i] = append(sims[i], pipesim.New(w, fk, fl, fm))
+			}
+			front := pipesim.TraceObserver(prog, tr, sims[i]...)
+			fronts = append(fronts, front)
+			obs = append(obs, front)
 		}
 		evals[i] = &predict.Evaluator{P: predict.MustLookup(n).New(predict.SchemeContext{Configs: configs})}
 		if len(obs) > 0 {
@@ -531,13 +545,23 @@ func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSe
 		}
 		hooks[i] = evals[i].Hook()
 	}
-	// Stream: blocks decode once and fan out, nothing is materialized.
-	d, err := tracefile.NewBCT2Reader(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		fail(err)
-	}
-	if err := tracefile.ScoreStream(ctx, d, hooks...); err != nil {
-		fail(err)
+	if tr != nil {
+		if err := tracefile.Score(ctx, tr, evals); err != nil {
+			fail(err)
+		}
+		for _, front := range fronts {
+			if err := front.Finish(); err != nil {
+				fail(fmt.Errorf("-frontend: %s does not fit benchmark %s: %w", path, bench, err))
+			}
+		}
+	} else {
+		d, err := tracefile.NewBCT2Reader(r)
+		if err != nil {
+			fail(err)
+		}
+		if err := tracefile.ScoreStream(ctx, d, hooks...); err != nil {
+			fail(err)
+		}
 	}
 	for i, n := range names {
 		e := evals[i]
@@ -584,16 +608,12 @@ func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSe
 	}
 	if len(widths) > 0 {
 		fmt.Printf("\nfrontend cost per branch (k=%d, l=%d, m=%d):\n", fk, fl, fm)
-		for _, n := range names {
-			for _, w := range widths {
-				s := sims[n][w]
+		for i, n := range names {
+			for j, w := range widths {
+				s := sims[i][j]
 				model := s.Superscalar().Cost(s.Accuracy())
-				diff := s.CostPerBranch() - model
-				if diff < 0 {
-					diff = -diff
-				}
 				fmt.Printf("%-16s W=%d  sim %.4f  model %.4f  |err| %.2e (tol %.2e)  util %.3f\n",
-					n, w, s.CostPerBranch(), model, diff, s.ModelTolerance(), s.FetchUtilization())
+					n, w, s.CostPerBranch(), model, math.Abs(s.CostPerBranch()-model), s.ModelTolerance(), s.FetchUtilization())
 			}
 		}
 	}

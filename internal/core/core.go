@@ -5,11 +5,11 @@
 // replaying that trace in parallel. Schemes come from the predict.Scheme
 // registry. The Forward Semantic is scored from the same trace: the
 // transform's layout fixes the direction of every branch
-// (fs.Result.Predictor), so its transformed binary is built but only run
-// for Config.ICache. With Config.Corpus set, the recording pass itself is
-// served from the disk-backed trace corpus (internal/corpus) whenever an
-// entry for the exact (program, input-suite) pair exists, so a warm
-// evaluation without Config.ICache executes no VM at all. The root
+// (fs.Result.Predictor), so its transformed binary is built but never run
+// here. The VM runs only to profile and record. With Config.Corpus set, the
+// recording pass itself is served from the disk-backed trace corpus
+// (internal/corpus) whenever an entry for the exact (program, input-suite)
+// pair exists, so a warm evaluation executes no VM at all. The root
 // branchcost package re-exports this API.
 package core
 
@@ -24,7 +24,6 @@ import (
 	"branchcost/internal/corpus"
 	"branchcost/internal/fs"
 	_ "branchcost/internal/history" // registers the history-based schemes
-	"branchcost/internal/icache"
 	"branchcost/internal/isa"
 	"branchcost/internal/pipeline"
 	"branchcost/internal/predict"
@@ -41,9 +40,9 @@ import (
 // paper's configuration.
 type Config struct {
 	// EvalSlots is the k+ℓ of the FS binary the transform materializes
-	// (Eval.FSResult, its code growth, the ICache measurement); nil means
-	// the paper's 2. The scored accuracy is independent of it: the layout's
-	// branch directions do not depend on the slot count.
+	// (Eval.FSResult and its code growth); nil means the paper's 2. The
+	// scored accuracy is independent of it: the layout's branch directions
+	// do not depend on the slot count.
 	EvalSlots *int
 
 	// FlushEvery, when positive, resets the predictors every N branches
@@ -69,18 +68,10 @@ type Config struct {
 	// precedence; this field exists for callers without a context in hand.
 	Telemetry *telemetry.Set
 
-	// ICache, when non-nil, measures instruction-cache behaviour of the
-	// Forward Semantic code expansion with that geometry: one pass over the
-	// original binary and one over the transformed binary (through the
-	// slot-substituting fetch model), reported as Eval.ICache. Costs two
-	// extra VM runs per input; nil skips the measurement entirely.
-	ICache *icache.Geometry
-
 	// MaxVMSteps, when positive, bounds every VM run of the evaluation
-	// (profiling, recording, and the ICache measurement) to that many
-	// dynamic instructions — the step-budget watchdog that converts a
-	// runaway workload into a located trap instead of a hung suite. Zero
-	// means the VM default (1<<34).
+	// (profiling and recording) to that many dynamic instructions — the
+	// step-budget watchdog that converts a runaway workload into a located
+	// trap instead of a hung suite. Zero means the VM default (1<<34).
 	MaxVMSteps int64
 
 	// SchemeConfigs carries per-scheme configuration overrides (typically
@@ -126,20 +117,6 @@ type SchemeResult struct {
 	Extra map[string]int64
 }
 
-// ICacheResult is the instruction-cache measurement of the Forward
-// Semantic code expansion (Config.ICache): miss ratios of the original and
-// transformed binaries over the same inputs, with the code growth that
-// bought the difference.
-type ICacheResult struct {
-	Geometry icache.Geometry
-	MissOrig float64
-	MissFS   float64
-	Growth   float64 // FS code growth, as a fraction of the original size
-}
-
-// Delta returns MissFS − MissOrig, the miss-ratio cost of the expansion.
-func (r ICacheResult) Delta() float64 { return r.MissFS - r.MissOrig }
-
 // Eval is the complete measurement of one benchmark.
 type Eval struct {
 	Name    string
@@ -167,11 +144,6 @@ type Eval struct {
 	// FS().Stats.Accuracy() when evaluation inputs equal profiling inputs.
 	AnalyticFS float64
 
-	// ICache holds the instruction-cache measurement of the FS code
-	// expansion; nil unless Config.ICache was set and a transformed scheme
-	// was scored.
-	ICache *ICacheResult
-
 	// Attr maps scheme name to its attribution summary (top mispredicting
 	// sites, interval series); nil unless Config.Attribution was set.
 	Attr map[string]*attr.Summary
@@ -182,8 +154,8 @@ type Eval struct {
 
 	// CorpusKey is the content hash consulted when Config.Corpus was set
 	// ("" otherwise), VMRuns the number of live VM executions this
-	// evaluation performed (0 for any warm evaluation without
-	// Config.ICache), WallNS its wall-clock time, and Phases the per-phase
+	// evaluation performed (one per input when cold, 0 for any warm
+	// evaluation), WallNS its wall-clock time, and Phases the per-phase
 	// breakdown. All four feed the run manifest (see Manifest).
 	CorpusKey string
 	VMRuns    int64
@@ -257,8 +229,8 @@ func Evaluate(name string, prog *isa.Program, profInputs, evalInputs [][]byte, c
 // EvaluateContext is Evaluate with cancellation (checked between VM runs
 // and periodically inside trace replay) and, when Config.Corpus is set,
 // disk-backed trace reuse: a warm corpus supplies the profile and recorded
-// trace without executing the VM. Only Config.ICache runs the VM over the
-// transformed binary.
+// trace without executing the VM. The VM runs only to profile and record;
+// the transformed binary never runs.
 func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profInputs, evalInputs [][]byte, cfg Config) (*Eval, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.SchemeConfigs.Validate(); err != nil {
@@ -455,35 +427,6 @@ func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profIn
 		return nil, err
 	}
 	e.phase("replay", start)
-	if cfg.ICache != nil && fsRes != nil {
-		start := time.Now()
-		ictx, span := telemetry.StartSpan(ctx, "core.icache")
-		orig := cfg.ICache.New()
-		fsSim := cfg.ICache.New()
-		fm := icache.NewFSFetch(fsRes.Prog, fsSim)
-		for i, in := range evalInputs {
-			if err := ictx.Err(); err != nil {
-				span.End()
-				return nil, err
-			}
-			if _, err := vm.Run(prog, in, nil, vm.Config{Trace: orig.Access, Metrics: set, Ctx: ictx, MaxSteps: cfg.MaxVMSteps}); err != nil {
-				span.End()
-				return nil, fmt.Errorf("core: %s: icache original run %d: %w", name, i, err)
-			}
-			if _, err := vm.Run(fsRes.Prog, in, nil, vm.Config{Trace: fm.Trace, Metrics: set, Ctx: ictx, MaxSteps: cfg.MaxVMSteps}); err != nil {
-				span.End()
-				return nil, fmt.Errorf("core: %s: icache FS run %d: %w", name, i, err)
-			}
-			e.VMRuns += 2
-		}
-		span.End()
-		e.ICache = &ICacheResult{
-			Geometry: *cfg.ICache,
-			MissOrig: orig.MissRatio(), MissFS: fsSim.MissRatio(),
-			Growth: fsRes.CodeGrowth(),
-		}
-		e.phase("icache", start)
-	}
 	for _, j := range jobs {
 		res := SchemeResult{Stats: j.ev.S}
 		if ms, ok := j.ev.P.(predict.MetricSource); ok {

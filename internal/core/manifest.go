@@ -12,7 +12,7 @@ import (
 )
 
 // PhaseTiming is one completed pipeline phase of an evaluation (profile,
-// record, corpus.load, corpus.store, fs.transform, replay, icache) with its
+// record, corpus.load, corpus.store, fs.transform, replay) with its
 // wall-clock duration.
 type PhaseTiming struct {
 	Name       string `json:"name"`

@@ -190,7 +190,11 @@ func ContextSwitch(s *Suite, names []string) ([]CtxSwitchRow, *stats.Table, erro
 			if err != nil {
 				return nil, nil, err
 			}
-			rows[i].FSAcc += e.FS().Stats.Accuracy()
+			base, err := scored(e, "fs", "sbtb", "cbtb")
+			if err != nil {
+				return nil, nil, fmt.Errorf("ctxswitch: %w", err)
+			}
+			rows[i].FSAcc += base[0].Stats.Accuracy()
 			var evs []*predict.Evaluator
 			if p != 0 {
 				evs = append(evs,
@@ -205,8 +209,8 @@ func ContextSwitch(s *Suite, names []string) ([]CtxSwitchRow, *stats.Table, erro
 				return nil, nil, err
 			}
 			if p == 0 {
-				rows[i].SBTBAcc += e.SBTB().Stats.Accuracy()
-				rows[i].CBTBAcc += e.CBTB().Stats.Accuracy()
+				rows[i].SBTBAcc += base[1].Stats.Accuracy()
+				rows[i].CBTBAcc += base[2].Stats.Accuracy()
 			} else {
 				rows[i].SBTBAcc += evs[0].S.Accuracy()
 				rows[i].CBTBAcc += evs[1].S.Accuracy()
@@ -304,18 +308,19 @@ func CycleCheck(s *Suite, names []string) ([]CycleRow, *stats.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, sc := range []struct{ label, scheme string }{{"SBTB", "sbtb"}, {"CBTB", "cbtb"}, {"FS", "fs"}} {
-			res, ok := e.Schemes[sc.scheme]
-			if !ok {
-				return nil, nil, fmt.Errorf("cycle: %s: scheme %s was not scored", name, sc.scheme)
-			}
+		results, err := scored(e, "sbtb", "cbtb", "fs")
+		if err != nil {
+			return nil, nil, fmt.Errorf("cycle: %w", err)
+		}
+		for i, label := range []string{"SBTB", "CBTB", "FS"} {
+			res := results[i]
 			cs := pipeline.NewCycleSim(1, 1, 2)
 			cs.Add(res.Stats)
-			r := CycleRow{Benchmark: name, Scheme: sc.label,
+			r := CycleRow{Benchmark: name, Scheme: label,
 				Simulated: cs.CostPerBranch(),
 				Analytic:  cs.EffectiveConfig().Cost(res.Stats.Accuracy())}
 			rows = append(rows, r)
-			t.AddRow(name, sc.label, stats.F3(r.Simulated), stats.F3(r.Analytic),
+			t.AddRow(name, label, stats.F3(r.Simulated), stats.F3(r.Analytic),
 				fmt.Sprintf("%+.4f", r.Simulated-r.Analytic))
 		}
 	}

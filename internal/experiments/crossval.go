@@ -30,11 +30,7 @@ type CrossValRow struct {
 func CrossVal(s *Suite, names []string) ([]CrossValRow, *stats.Table, error) {
 	t := stats.NewTable("Extension: self-profiled vs cross-validated accuracy (train even runs, test odd runs)",
 		"Benchmark", "A_FS self", "A_FS cross", "A_SBTB cross", "A_CBTB cross")
-	cfg := core.Config{
-		SchemeConfigs: s.Cfg.SchemeConfigs,
-		MaxVMSteps:    s.Cfg.MaxVMSteps,
-		EvalSlots:     s.Cfg.EvalSlots,
-	}
+	cfg := s.ownInputsConfig()
 	var rows []CrossValRow
 	for _, name := range names {
 		b, err := s.lookup(name)

@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"branchcost/internal/experiments"
 	"branchcost/internal/pipeline"
 	"branchcost/internal/predict"
+	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
 )
 
@@ -278,6 +280,39 @@ func TestDelayedBranchShape(t *testing.T) {
 	}
 }
 
+// TestICacheGoldenWC pins the instruction-cache measurement of the FS code
+// expansion on one benchmark. The numbers are the paper's locality claim in
+// miniature: wc's code grows ~13.6% under the transform, yet the miss ratio
+// does not — here it even improves by a hair, because the slot copies
+// straighten the fetch stream across taken branches. The measurement is
+// fully deterministic (fixed binary, fixed inputs, LRU cache), so exact
+// strings are pinned. The original binary's stream is walked from the
+// suite's trace, so only the transformed binary runs: once per input.
+func TestICacheGoldenWC(t *testing.T) {
+	b, err := workloads.ByName("wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := suite.Eval("wc"); err != nil {
+		t.Fatal(err)
+	}
+	before := vm.RunCount.Load()
+	rows, _, err := experiments.ICache(suite, []string{"wc"}, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := vm.RunCount.Load() - before; runs != int64(b.Runs) {
+		t.Errorf("ICache ran the VM %d times, want one run per input (%d)", runs, b.Runs)
+	}
+	r := rows[0]
+	got := fmt.Sprintf("orig=%.10f fs=%.10f growth=%.4f delta=%.10f",
+		r.MissOrig, r.MissFS, r.Growth, r.MissFS-r.MissOrig)
+	const want = "orig=0.0000066695 fs=0.0000065957 growth=0.1359 delta=-0.0000000737"
+	if got != want {
+		t.Fatalf("icache golden moved:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestICacheLocalityClaim(t *testing.T) {
 	rows, tbl, err := experiments.ICache(suite, []string{"yacc", "cccp"}, []int{2, 8})
 	if err != nil {
@@ -454,43 +489,6 @@ func TestOptimizerAblation(t *testing.T) {
 	}
 }
 
-func TestSuperscalarShape(t *testing.T) {
-	rows, tbl, err := experiments.Superscalar(suite, []string{"wc", "compress"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", tbl)
-	// Index rows by (width, scheme).
-	get := func(w int, sc string) experiments.SuperscalarRow {
-		for _, r := range rows {
-			if r.Width == w && r.Scheme == sc {
-				return r
-			}
-		}
-		t.Fatalf("row %d/%s missing", w, sc)
-		return experiments.SuperscalarRow{}
-	}
-	// The FS IPC advantage over the SBTB must grow with width.
-	prevAdv := 0.0
-	for _, w := range []int{1, 2, 4, 8} {
-		fs, sbtb := get(w, "FS"), get(w, "SBTB")
-		if fs.IPC < sbtb.IPC {
-			t.Errorf("width %d: FS IPC %.3f below SBTB %.3f", w, fs.IPC, sbtb.IPC)
-		}
-		adv := fs.IPC/sbtb.IPC - 1
-		if adv+1e-9 < prevAdv {
-			t.Errorf("width %d: FS advantage shrank: %.4f < %.4f", w, adv, prevAdv)
-		}
-		prevAdv = adv
-		// Utilization falls with width for every scheme.
-		if w > 1 {
-			if get(w, "FS").Util >= get(1, "FS").Util {
-				t.Errorf("width %d: utilization did not fall", w)
-			}
-		}
-	}
-}
-
 func TestHardwareCostShape(t *testing.T) {
 	rows, tbl, err := experiments.HardwareCost(suite, []string{"wc", "compress"})
 	if err != nil {
@@ -515,7 +513,7 @@ func TestHardwareCostShape(t *testing.T) {
 }
 
 func TestSensitivityShape(t *testing.T) {
-	rows, tbl, err := experiments.Sensitivity([]string{"wc", "compress"}, 2)
+	rows, tbl, err := experiments.Sensitivity(suite, []string{"wc", "compress"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,6 +530,54 @@ func TestSensitivityShape(t *testing.T) {
 		}
 		if r.SpreadCB > 0.05 {
 			t.Errorf("%s: A_CBTB spread %.3f across suites", r.Benchmark, r.SpreadCB)
+		}
+	}
+}
+
+// TestSensitivitySchemeConfigs: Sensitivity evaluates each input draw under
+// the caller's suite configuration. Its first draw is the suite's own
+// inputs, so under a 16-entry direct-mapped CBTB it equals that suite's
+// evaluation of wc, and differs from the paper configuration's.
+func TestSensitivitySchemeConfigs(t *testing.T) {
+	small := experiments.NewSuite(core.Config{SchemeConfigs: predict.ConfigSet{
+		"cbtb": predict.CBTBConfig{BTBGeometry: predict.BTBGeometry{Entries: 16, Assoc: 1}},
+	}})
+	rows, _, err := experiments.Sensitivity(small, []string{"wc"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := small.Eval("wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := suite.Eval("wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows[0].ACBTB[0]; got != want.CBTB().Stats.Accuracy() || got == paper.CBTB().Stats.Accuracy() {
+		t.Errorf("16-entry direct-mapped A_CBTB %v, want %v (paper configuration %v)",
+			got, want.CBTB().Stats.Accuracy(), paper.CBTB().Stats.Accuracy())
+	}
+}
+
+// TestUnscoredSchemeIsAnError: every experiment that reads the suite's own
+// scores fails, naming the benchmark and the scheme, under a suite that did
+// not score that scheme, instead of reading its zero Stats as accuracy 1.
+func TestUnscoredSchemeIsAnError(t *testing.T) {
+	noFS := experiments.NewSuite(core.Config{Schemes: []string{"sbtb", "cbtb"}})
+	names := []string{"wc"}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"modern", func() error { _, _, err := experiments.ModernSuite(noFS); return err }},
+		{"ctxswitch", func() error { _, _, err := experiments.ContextSwitch(noFS, names); return err }},
+		{"pareto", func() error { _, _, err := experiments.Pareto(noFS, names); return err }},
+		{"cycle", func() error { _, _, err := experiments.CycleCheck(noFS, names); return err }},
+	} {
+		err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), "scheme fs was not scored") {
+			t.Errorf("%s: err = %v, want scheme fs was not scored", tc.name, err)
 		}
 	}
 }

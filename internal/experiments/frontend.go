@@ -3,20 +3,21 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"branchcost/internal/core"
 	"branchcost/internal/fs"
+	"branchcost/internal/isa"
 	"branchcost/internal/pipesim"
 	"branchcost/internal/predict"
 	"branchcost/internal/stats"
 	"branchcost/internal/tracefile"
-	"branchcost/internal/workloads"
+	"branchcost/internal/vm"
 )
 
 // Frontend stage depths: the paper's baseline fetch/decode split with a
-// two-stage execute, shared with the Superscalar experiment so the two
-// views of the same machine agree.
+// two-stage execute.
 const (
 	frontendK = 1
 	frontendL = 2
@@ -32,8 +33,8 @@ var FrontendWidths = []int{1, 2, 4, 8}
 var FrontendSchemes = []string{"sbtb", "cbtb", "btb2l", "gshare", "local", "perceptron", "tage", "fs"}
 
 // FrontendRow is one (width, scheme) point of the frontend sweep, averaged
-// over benchmarks: the trace-driven simulation cost per branch next to the
-// two calibrated analytic frontend models.
+// over benchmarks: the trace-driven simulation's cost per branch and IPC
+// next to the two calibrated analytic frontend models.
 type FrontendRow struct {
 	Width    int
 	Scheme   string
@@ -42,6 +43,7 @@ type FrontendRow struct {
 	SSCost   float64 // calibrated pipeline.Superscalar model
 	VFCost   float64 // calibrated pipeline.VariableFetch model
 	Util     float64 // fetch-slot utilization
+	IPC      float64 // right-path instructions per cycle
 }
 
 // FrontendCheckRow is one benchmark's model-vs-simulation agreement record
@@ -59,138 +61,130 @@ type FrontendCheckRow struct {
 	OK        bool
 }
 
-// frontendSims builds one trace-driven simulator per (width, scheme) for a
-// benchmark. Each scheme gets one evaluator, and every width's simulator
-// observes it (predict.Observers), so a scheme predicts each branch once
-// however many widths are swept. The recorded streams replay in two
-// passes: the original binary's trace for the hardware schemes, and —
-// recorded here, once — the transformed binary's trace for the FS scheme.
-// No per-width live VM pass runs; width only changes how the same stream
-// is packed into fetch groups.
-func frontendSims(e *core.Eval, configs predict.ConfigSet, widths []int, schemes []string) (map[int]map[string]*pipesim.Sim, error) {
-	sims := make(map[int]map[string]*pipesim.Sim, len(widths))
-	for _, w := range widths {
-		sims[w] = make(map[string]*pipesim.Sim, len(schemes))
-	}
-	evaluator := func(name string, p predict.Predictor) *predict.Evaluator {
-		obs := make(predict.Observers, len(widths))
+// frontendSims builds one benchmark's trace-driven simulators, indexed
+// [scheme][width]. Each scheme's evaluator drives every width through one
+// pipesim.TraceObserver. The hardware schemes replay the original binary's
+// trace; FS replays the transformed binary's, recorded here from the
+// suite's inputs under its step budget.
+func frontendSims(s *Suite, e *core.Eval, widths []int) ([][]*pipesim.Sim, error) {
+	var sims [][]*pipesim.Sim
+	var observers []*pipesim.Traced
+	evaluator := func(p predict.Predictor, prog *isa.Program, tr *tracefile.Trace) *predict.Evaluator {
+		ws := make([]*pipesim.Sim, len(widths))
 		for i, w := range widths {
-			sim := pipesim.New(w, frontendK, frontendL, frontendM)
-			sims[w][name] = sim
-			obs[i] = sim.TraceObserver()
+			ws[i] = pipesim.New(w, frontendK, frontendL, frontendM)
 		}
+		sims = append(sims, ws)
+		obs := pipesim.TraceObserver(prog, tr, ws...)
+		observers = append(observers, obs)
 		return &predict.Evaluator{P: p, Obs: obs}
 	}
 
 	var hw []*predict.Evaluator
-	var fsEv *predict.Evaluator
-	var fsRes *fs.Result
-	for _, name := range schemes {
-		if name == "fs" {
-			// The FS scheme replays the transformed binary's own stream;
-			// reuse the evaluation's transform when present, else
-			// materialize the paper's.
-			if fsRes = e.FSResult; fsRes == nil {
-				var err error
-				if fsRes, err = fs.Transform(e.Program, e.Profile, 2); err != nil {
-					return nil, err
-				}
+	for _, name := range FrontendSchemes {
+		if name != "fs" {
+			sc, ok := predict.Lookup(name)
+			if !ok {
+				return nil, fmt.Errorf("frontend: unknown scheme %q", name)
 			}
-			fsEv = evaluator(name, predict.LikelyBit{Targets: predict.ProgramTargets{Prog: fsRes.Prog}})
+			p := sc.New(predict.SchemeContext{Prog: e.Program, Profile: e.Profile, Configs: s.Cfg.SchemeConfigs})
+			hw = append(hw, evaluator(p, e.Program, e.Trace))
 			continue
 		}
-		sc, ok := predict.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("frontend: unknown scheme %q", name)
+		// The FS scheme replays the transformed binary's own stream; reuse
+		// the evaluation's transform when present, else materialize the
+		// paper's.
+		fsRes := e.FSResult
+		if fsRes == nil {
+			var err error
+			if fsRes, err = fs.Transform(e.Program, e.Profile, 2); err != nil {
+				return nil, err
+			}
 		}
-		hw = append(hw, evaluator(name, sc.New(predict.SchemeContext{Prog: e.Program, Profile: e.Profile, Configs: configs})))
-	}
-	if len(hw) > 0 {
-		if err := tracefile.Score(context.Background(), e.Trace, hw); err != nil {
-			return nil, err
-		}
-	}
-	if fsEv != nil {
-		b, err := workloads.ByName(e.Name)
+		b, err := s.lookup(e.Name)
 		if err != nil {
 			return nil, err
 		}
-		fsTrace, err := tracefile.Record(fsRes.Prog, b.Inputs())
+		fsTrace, err := tracefile.RecordConfig(context.Background(), fsRes.Prog, b.Inputs(), vm.Config{MaxSteps: s.Cfg.MaxVMSteps})
 		if err != nil {
 			return nil, err
 		}
-		fsTrace.Replay(fsEv.Hook())
+		ev := evaluator(predict.LikelyBit{Targets: predict.ProgramTargets{Prog: fsRes.Prog}}, fsRes.Prog, fsTrace)
+		fsTrace.Replay(ev.Hook())
+	}
+	if err := tracefile.Score(context.Background(), e.Trace, hw); err != nil {
+		return nil, err
+	}
+	for _, obs := range observers {
+		if err := obs.Finish(); err != nil {
+			return nil, err
+		}
 	}
 	return sims, nil
 }
 
+// eachFrontendSim simulates every named benchmark and calls f for each
+// simulator with its point's index i among one benchmark's (width, scheme)
+// points, width-major in FrontendSchemes order.
+func eachFrontendSim(s *Suite, names []string, widths []int, f func(i int, name string, w int, scheme string, sim *pipesim.Sim)) error {
+	for _, name := range names {
+		e, err := s.Eval(name)
+		if err != nil {
+			return err
+		}
+		sims, err := frontendSims(s, e, widths)
+		if err != nil {
+			return fmt.Errorf("frontend: %s: %w", name, err)
+		}
+		for j, w := range widths {
+			for k, sc := range FrontendSchemes {
+				f(j*len(FrontendSchemes)+k, name, w, strings.ToUpper(sc), sims[k][j])
+			}
+		}
+	}
+	return nil
+}
+
 // FrontendSweep replays every benchmark's recorded streams through the
 // trace-driven pipeline simulator at each fetch width and reports, per
-// (width, scheme), the simulated cost per branch next to the two calibrated
-// frontend cost models — the Table 4/5-style view of how each scheme's
-// advantage scales with fetch width. Averages are unweighted across
-// benchmarks, like the paper's tables.
+// (width, scheme), the simulated cost per branch, fetch utilization and IPC
+// next to the two calibrated frontend cost models. As fetch widens, branch
+// handling gates instruction supply and the scheme gap widens — the
+// observation behind the authors' later superblock work. Averages are
+// unweighted across benchmarks, like the paper's tables.
 func FrontendSweep(s *Suite, names []string, widths []int) ([]FrontendRow, *stats.Table, error) {
 	if len(widths) == 0 {
 		widths = FrontendWidths
 	}
-	type agg struct {
-		acc, sim, ss, vf, util float64
-		n                      int
-	}
-	res := map[int]map[string]*agg{}
-	for _, w := range widths {
-		res[w] = map[string]*agg{}
-		for _, sc := range FrontendSchemes {
-			res[w][sc] = &agg{}
-		}
-	}
-	configs := s.Cfg.Configs()
-	for _, name := range names {
-		e, err := s.Eval(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		sims, err := frontendSims(e, configs, widths, FrontendSchemes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("frontend: %s: %w", name, err)
-		}
-		for _, w := range widths {
-			for _, sc := range FrontendSchemes {
-				sim := sims[w][sc]
-				a := res[w][sc]
-				a.acc += sim.Accuracy()
-				a.sim += sim.CostPerBranch()
-				a.ss += sim.Superscalar().Cost(sim.Accuracy())
-				a.vf += sim.VariableFetch().Cost(sim.Accuracy())
-				a.util += sim.FetchUtilization()
-				a.n++
-			}
-		}
+	rows := make([]FrontendRow, len(widths)*len(FrontendSchemes))
+	if err := eachFrontendSim(s, names, widths, func(i int, _ string, w int, sc string, sim *pipesim.Sim) {
+		r, a := &rows[i], sim.Accuracy()
+		r.Width, r.Scheme = w, sc
+		r.Accuracy += a
+		r.SimCost += sim.CostPerBranch()
+		r.SSCost += sim.Superscalar().Cost(a)
+		r.VFCost += sim.VariableFetch().Cost(a)
+		r.Util += sim.FetchUtilization()
+		r.IPC += sim.IPC()
+	}); err != nil {
+		return nil, nil, err
 	}
 	t := stats.NewTable(
 		fmt.Sprintf("Frontend sweep: cost per branch vs fetch width (k=%d, l=%d, m=%d)",
 			frontendK, frontendL, frontendM),
-		"W", "Scheme", "Accuracy", "Sim cost", "SS model", "VF model", "Util")
-	var rows []FrontendRow
-	for _, w := range widths {
-		for _, sc := range FrontendSchemes {
-			a := res[w][sc]
-			if a.n == 0 {
-				continue
-			}
-			n := float64(a.n)
-			r := FrontendRow{
-				Width: w, Scheme: strings.ToUpper(sc),
-				Accuracy: a.acc / n, SimCost: a.sim / n,
-				SSCost: a.ss / n, VFCost: a.vf / n, Util: a.util / n,
-			}
-			rows = append(rows, r)
-			t.AddRow(fmt.Sprintf("%d", w), r.Scheme,
-				fmt.Sprintf("%.4f", r.Accuracy), fmt.Sprintf("%.3f", r.SimCost),
-				fmt.Sprintf("%.3f", r.SSCost), fmt.Sprintf("%.3f", r.VFCost),
-				fmt.Sprintf("%.3f", r.Util))
-		}
+		"W", "Scheme", "Accuracy", "Sim cost", "SS model", "VF model", "Util", "IPC")
+	if len(names) == 0 {
+		return nil, t, nil
+	}
+	n := float64(len(names))
+	for i := range rows {
+		r := &rows[i]
+		r.Accuracy, r.SimCost, r.SSCost, r.VFCost = r.Accuracy/n, r.SimCost/n, r.SSCost/n, r.VFCost/n
+		r.Util, r.IPC = r.Util/n, r.IPC/n
+		t.AddRow(fmt.Sprintf("%d", r.Width), r.Scheme,
+			fmt.Sprintf("%.4f", r.Accuracy), fmt.Sprintf("%.3f", r.SimCost),
+			fmt.Sprintf("%.3f", r.SSCost), fmt.Sprintf("%.3f", r.VFCost),
+			fmt.Sprintf("%.3f", r.Util), fmt.Sprintf("%.3f", r.IPC))
 	}
 	return rows, t, nil
 }
@@ -205,48 +199,32 @@ func FrontendCheck(s *Suite, names []string, widths []int) ([]FrontendCheckRow, 
 	if len(widths) == 0 {
 		widths = FrontendWidths
 	}
-	configs := s.Cfg.Configs()
 	var rows []FrontendCheckRow
 	var bad []string
 	t := stats.NewTable(
 		fmt.Sprintf("Frontend check: |sim − model| within per-run tolerance (k=%d, l=%d, m=%d)",
 			frontendK, frontendL, frontendM),
 		"Benchmark", "W", "Scheme", "Sim cost", "Model", "|err|", "Tol", "OK")
-	for _, name := range names {
-		e, err := s.Eval(name)
-		if err != nil {
-			return nil, nil, err
+	if err := eachFrontendSim(s, names, widths, func(_ int, name string, w int, sc string, sim *pipesim.Sim) {
+		r := FrontendCheckRow{
+			Benchmark: name, Width: w, Scheme: sc,
+			SimCost: sim.CostPerBranch(), SSCost: sim.Superscalar().Cost(sim.Accuracy()),
+			Tolerance: sim.ModelTolerance(),
 		}
-		sims, err := frontendSims(e, configs, widths, FrontendSchemes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("frontend: %s: %w", name, err)
+		r.Err = math.Abs(r.SimCost - r.SSCost)
+		r.OK = r.Err <= r.Tolerance
+		rows = append(rows, r)
+		ok := "yes"
+		if !r.OK {
+			ok = "NO"
+			bad = append(bad, fmt.Sprintf("%s W=%d %s: |%.6f-%.6f|=%.6f > %.6f",
+				name, w, r.Scheme, r.SimCost, r.SSCost, r.Err, r.Tolerance))
 		}
-		for _, w := range widths {
-			for _, sc := range FrontendSchemes {
-				sim := sims[w][sc]
-				model := sim.Superscalar().Cost(sim.Accuracy())
-				r := FrontendCheckRow{
-					Benchmark: name, Width: w, Scheme: strings.ToUpper(sc),
-					SimCost: sim.CostPerBranch(), SSCost: model,
-					Tolerance: sim.ModelTolerance(),
-				}
-				r.Err = r.SimCost - r.SSCost
-				if r.Err < 0 {
-					r.Err = -r.Err
-				}
-				r.OK = r.Err <= r.Tolerance
-				rows = append(rows, r)
-				ok := "yes"
-				if !r.OK {
-					ok = "NO"
-					bad = append(bad, fmt.Sprintf("%s W=%d %s: |%.6f-%.6f|=%.6f > %.6f",
-						name, w, r.Scheme, r.SimCost, r.SSCost, r.Err, r.Tolerance))
-				}
-				t.AddRow(name, fmt.Sprintf("%d", w), r.Scheme,
-					fmt.Sprintf("%.4f", r.SimCost), fmt.Sprintf("%.4f", r.SSCost),
-					fmt.Sprintf("%.2e", r.Err), fmt.Sprintf("%.2e", r.Tolerance), ok)
-			}
-		}
+		t.AddRow(name, fmt.Sprintf("%d", w), r.Scheme,
+			fmt.Sprintf("%.4f", r.SimCost), fmt.Sprintf("%.4f", r.SSCost),
+			fmt.Sprintf("%.2e", r.Err), fmt.Sprintf("%.2e", r.Tolerance), ok)
+	}); err != nil {
+		return nil, nil, err
 	}
 	if len(bad) > 0 {
 		return rows, t, fmt.Errorf("frontend check failed at %d point(s):\n  %s",

@@ -7,7 +7,6 @@ import (
 	"branchcost/internal/icache"
 	"branchcost/internal/stats"
 	"branchcost/internal/vm"
-	"branchcost/internal/workloads"
 )
 
 // ICacheRow quantifies the paper's spatial-locality claim for one benchmark
@@ -22,12 +21,13 @@ type ICacheRow struct {
 }
 
 // ICacheConfig is the cache geometry used by the locality experiment. The
-// fetch-substitution model itself lives in internal/icache (FSFetch), where
-// core's per-evaluation measurement shares it.
+// fetch-substitution model itself lives in internal/icache (FSFetch).
 var ICacheConfig = icache.DefaultGeometry
 
 // ICache measures instruction-cache miss ratios of the original and the
-// FS-transformed binaries over the same runs, for each slot depth.
+// FS-transformed binaries over the same runs, for each slot depth. The
+// original stream is walked from the suite's trace; each transformed binary
+// runs once per input, under the suite's step budget.
 func ICache(s *Suite, names []string, slotDepths []int) ([]ICacheRow, *stats.Table, error) {
 	t := stats.NewTable(
 		fmt.Sprintf("Ablation: I-cache miss ratio vs code expansion (%d lines x %d words, %d-way)",
@@ -39,17 +39,17 @@ func ICache(s *Suite, names []string, slotDepths []int) ([]ICacheRow, *stats.Tab
 		if err != nil {
 			return nil, nil, err
 		}
-		b, err := workloads.ByName(name)
+		b, err := s.lookup(name)
 		if err != nil {
 			return nil, nil, err
 		}
-		// Original binary miss ratio (measured once).
 		orig := ICacheConfig.New()
-		cfg := vm.Config{Trace: func(pos int32) { orig.Access(pos) }}
-		for run := 0; run < b.Runs; run++ {
-			if _, err := vm.Run(e.Program, b.Input(run), nil, cfg); err != nil {
-				return nil, nil, err
+		if err := e.Trace.Walk(e.Program, func(start, end int32) {
+			for pos := start; pos < end; pos++ {
+				orig.Access(pos)
 			}
+		}); err != nil {
+			return nil, nil, fmt.Errorf("icache: %s: %w", name, err)
 		}
 		for _, slots := range slotDepths {
 			res, err := fs.Transform(e.Program, e.Profile, slots)
@@ -58,9 +58,9 @@ func ICache(s *Suite, names []string, slotDepths []int) ([]ICacheRow, *stats.Tab
 			}
 			sim := ICacheConfig.New()
 			fm := icache.NewFSFetch(res.Prog, sim)
-			tcfg := vm.Config{Trace: fm.Trace}
+			cfg := vm.Config{Trace: fm.Trace, MaxSteps: s.Cfg.MaxVMSteps}
 			for run := 0; run < b.Runs; run++ {
-				if _, err := vm.Run(res.Prog, b.Input(run), nil, tcfg); err != nil {
+				if _, err := vm.Run(res.Prog, b.Input(run), nil, cfg); err != nil {
 					return nil, nil, err
 				}
 			}

@@ -37,6 +37,10 @@ func ModernSuite(s *Suite) ([]ModernRow, *stats.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		fsRes, err := scored(e, "fs")
+		if err != nil {
+			return nil, nil, fmt.Errorf("modern: %w", err)
+		}
 		// fs is the suite's score (as in the Pareto sweep); the other
 		// schemes replay the cached trace.
 		evs := make([]*predict.Evaluator, len(ModernSchemes))
@@ -54,7 +58,7 @@ func ModernSuite(s *Suite) ([]ModernRow, *stats.Table, error) {
 		r := ModernRow{Benchmark: b.Name, Class: b.Class, Accuracy: map[string]float64{}}
 		cells := []string{b.Name, b.Class}
 		for i, name := range ModernSchemes {
-			a := e.FS().Stats.Accuracy()
+			a := fsRes[0].Stats.Accuracy()
 			if name != "fs" {
 				a = evs[i].S.Accuracy()
 			}

@@ -86,6 +86,10 @@ func Pareto(s *Suite, names []string) ([]ParetoRow, *stats.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		fsRes, err := scored(e, "fs")
+		if err != nil {
+			return nil, nil, fmt.Errorf("pareto: %w", err)
+		}
 		evs := make([]*predict.Evaluator, len(points))
 		for i, pt := range points {
 			configs := predict.ConfigSet{pt.scheme: pt.over}
@@ -104,8 +108,8 @@ func Pareto(s *Suite, names []string) ([]ParetoRow, *stats.Table, error) {
 			aggs[i].cond += ev.S.CondAccuracy()
 			aggs[i].n++
 		}
-		fsAgg.acc += e.FS().Stats.Accuracy()
-		fsAgg.cond += e.FS().Stats.CondAccuracy()
+		fsAgg.acc += fsRes[0].Stats.Accuracy()
+		fsAgg.cond += fsRes[0].Stats.CondAccuracy()
 		fsAgg.n++
 	}
 	t := stats.NewTable(

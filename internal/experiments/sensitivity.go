@@ -5,7 +5,6 @@ import (
 
 	"branchcost/internal/core"
 	"branchcost/internal/stats"
-	"branchcost/internal/workloads"
 )
 
 // SensitivityRow reports one benchmark's accuracy spread across independent
@@ -22,17 +21,19 @@ type SensitivityRow struct {
 // (disjoint run-index ranges are independent samples of the same input
 // distribution) and measures how much the headline accuracies move — the
 // robustness check a reviewer would ask of the paper: do the conclusions
-// depend on the particular inputs profiled?
-func Sensitivity(names []string, suites int) ([]SensitivityRow, *stats.Table, error) {
+// depend on the particular inputs profiled? Draws evaluate like CrossVal's
+// halves, under the suite's configuration without its corpus.
+func Sensitivity(s *Suite, names []string, suites int) ([]SensitivityRow, *stats.Table, error) {
 	if suites < 2 {
 		suites = 2
 	}
 	t := stats.NewTable(
 		fmt.Sprintf("Extension: input-suite sensitivity (%d independent suites per benchmark)", suites),
 		"Benchmark", "A_FS per suite", "spread", "A_CBTB per suite", "spread")
+	cfg := s.ownInputsConfig()
 	var rows []SensitivityRow
 	for _, name := range names {
-		b, err := workloads.ByName(name)
+		b, err := s.lookup(name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -41,14 +42,14 @@ func Sensitivity(names []string, suites int) ([]SensitivityRow, *stats.Table, er
 			return nil, nil, err
 		}
 		r := SensitivityRow{Benchmark: name}
-		for s := 0; s < suites; s++ {
+		for draw := 0; draw < suites; draw++ {
 			inputs := make([][]byte, b.Runs)
 			for run := 0; run < b.Runs; run++ {
-				// Runs [1000s, 1000s+Runs) are fresh draws from the same
+				// Runs [1000d, 1000d+Runs) are fresh draws from the same
 				// generator distribution.
-				inputs[run] = b.Input(s*1000 + run)
+				inputs[run] = b.Input(draw*1000 + run)
 			}
-			e, err := core.Evaluate(name, prog, inputs, inputs, core.Config{})
+			e, err := core.Evaluate(name, prog, inputs, inputs, cfg)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -157,6 +157,17 @@ func (s *Suite) lookup(name string) (*workloads.Benchmark, error) {
 	return workloads.ByName(name)
 }
 
+// ownInputsConfig configures experiments that draw their own input suites
+// (CrossVal, Sensitivity): the suite's scheme configurations, step budget
+// and slot depth over the paper's schemes, without the suite's corpus.
+func (s *Suite) ownInputsConfig() core.Config {
+	return core.Config{
+		SchemeConfigs: s.Cfg.SchemeConfigs,
+		MaxVMSteps:    s.Cfg.MaxVMSteps,
+		EvalSlots:     s.Cfg.EvalSlots,
+	}
+}
+
 // Backoff returns the jittered exponential delay before retry attempt n
 // (n = 1 for the first retry). With RetrySeed set the draws come from a
 // private seeded stream, so the schedule is a deterministic function of
@@ -542,6 +553,21 @@ func (s *Suite) AverageAccuracies() (aSBTB, aCBTB, aFS float64, err error) {
 		aFS += e.FS().Stats.Accuracy()
 	}
 	return aSBTB / n, aCBTB / n, aFS / n, nil
+}
+
+// scored returns the suite's results for the named schemes on e, or an
+// error naming the benchmark and the first scheme the suite did not score,
+// whose zero Stats would read as accuracy 1.
+func scored(e *core.Eval, schemes ...string) ([]core.SchemeResult, error) {
+	out := make([]core.SchemeResult, len(schemes))
+	for i, name := range schemes {
+		res, ok := e.Schemes[name]
+		if !ok {
+			return nil, fmt.Errorf("%s: scheme %s was not scored", e.Name, name)
+		}
+		out[i] = res
+	}
+	return out, nil
 }
 
 // newScheme constructs a registered scheme's predictor against one cached

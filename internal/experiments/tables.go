@@ -29,7 +29,10 @@ func Table1(s *Suite) ([]Table1Row, *stats.Table, error) {
 		"Benchmark", "Lines", "Runs", "Inst.", "Control", "Input description")
 	var rows []Table1Row
 	for _, e := range evals {
-		b, _ := workloads.ByName(e.Name)
+		b, err := s.lookup(e.Name)
+		if err != nil {
+			return nil, nil, err
+		}
 		r := Table1Row{
 			Benchmark:   e.Name,
 			Lines:       e.Program.SourceLines,

@@ -17,24 +17,28 @@
 // end to end: the paper's penalty P, making the W = 1 simulation agree with
 // the analytic model cost = A + P(1−A) exactly.
 //
-// The simulator does no predicting of its own: it is a predict.Observer
-// that charges cycles for the outcomes a predict.Evaluator reports, so one
-// evaluator — one predictor — drives any number of simulators at once
-// (predict.Observers), one per fetch width.
+// The simulator does no predicting of its own: it charges cycles for the
+// outcomes a predict.Evaluator reports, so one evaluator — one predictor —
+// drives any number of simulators at once, one per fetch width. Fetch is
+// rebuilt from a recorded branch trace and its program (TraceObserver), so
+// the trace-driven simulation is exact at every width, with no VM pass.
 package pipesim
 
 import (
 	"fmt"
+	"strings"
 
+	"branchcost/internal/isa"
 	"branchcost/internal/pipeline"
 	"branchcost/internal/predict"
+	"branchcost/internal/tracefile"
 	"branchcost/internal/vm"
 )
 
-// Sim accumulates cycle counts for one run. Attach it to an evaluator either
-// live — as the evaluator's observer, plus a vm.Config Trace of Step — or
-// over a recorded trace alone via TraceObserver, which is how the frontend
-// cost models are calibrated without extra VM passes.
+// Sim accumulates cycle counts for one run. TraceObserver drives it from a
+// recorded trace, which is how the frontend cost models are calibrated; the
+// live wiring (Step as a vm.Config Trace, the Sim as the evaluator's
+// observer) is the reference the trace-driven path is tested against.
 type Sim struct {
 	Width   int // fetch width W (instructions per cycle), >= 1
 	K, L, M int
@@ -46,10 +50,6 @@ type Sim struct {
 	Squashed    int64 // wrong-path fetch slots issued then discarded
 	GroupBreaks int64 // fetch groups ended early by a correctly taken branch
 	DeadCycles  int64 // fetch cycles idled waiting for misprediction recovery
-	// UnrecordedBreaks counts fetch breaks charged by TraceObserver for
-	// control transfers the trace does not record (CALL/RET fold the callee
-	// out of the recorded stream). Always 0 when driven live.
-	UnrecordedBreaks int64
 
 	condWrong int64
 
@@ -58,6 +58,23 @@ type Sim struct {
 	slotsUsed int
 	// drainCycle is the cycle the last instruction leaves the pipe.
 	drainCycle int64
+}
+
+// ParseWidths parses a comma-separated list of fetch widths (the CLIs'
+// -width flag); an empty list gives nil.
+func ParseWidths(sel string) ([]int, error) {
+	if sel == "" {
+		return nil, nil
+	}
+	var widths []int
+	for _, part := range strings.Split(sel, ",") {
+		var w int
+		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &w); err != nil || w < 1 {
+			return nil, fmt.Errorf("bad -width element %q (want positive integers)", part)
+		}
+		widths = append(widths, w)
+	}
+	return widths, nil
 }
 
 // New returns a simulator of a width-W fetch engine over k, l and m stages.
@@ -80,21 +97,6 @@ func New(width, k, l, m int) *Sim {
 // depth is the pipeline length after the select stage.
 func (s *Sim) depth() int64 { return int64(s.K + s.L + s.M) }
 
-// fetchOne accounts one right-path instruction entering the pipe and
-// returns the cycle it was fetched in.
-func (s *Sim) fetchOne() int64 {
-	if s.slotsUsed >= s.Width {
-		s.curCycle++
-		s.slotsUsed = 0
-	}
-	s.slotsUsed++
-	s.Insts++
-	if done := s.curCycle + 1 + s.depth(); done > s.drainCycle {
-		s.drainCycle = done
-	}
-	return s.curCycle
-}
-
 // redirect moves fetch to a new address at the given cycle: the current
 // group ends and the next instruction starts a fresh group.
 func (s *Sim) redirect(at int64) {
@@ -105,24 +107,18 @@ func (s *Sim) redirect(at int64) {
 	s.slotsUsed = 0
 }
 
-// Step accounts one executed instruction's fetch (called from the VM's
-// trace hook, which fires for every instruction including branches, before
-// the evaluator reports the branch's outcome).
+// Step accounts one executed instruction's fetch from a live run's trace
+// hook: the reference TraceObserver is tested against.
 func (s *Sim) Step(pos int32) {
-	s.fetchOne()
+	s.fetchRun(1)
 }
 
-// ObserveEvent makes the simulator a live predict.Observer: it applies the
-// semantics of a branch already fetched by Step — group breaks and
-// misprediction redirects — for the outcome the evaluator reports. Wire
-// both:
-//
-//	sim := pipesim.New(4, 1, 2, 2)
-//	ev := &predict.Evaluator{P: pred, Obs: sim}
-//	vm.Run(prog, input, ev.Hook(), vm.Config{Trace: sim.Step})
-//
-// CALL/RET redirect fetch too, but the evaluator does not score them, so
-// they are not studied here.
+// ObserveEvent makes the simulator a predict.Observer: it applies the
+// semantics of a branch already fetched — group breaks and misprediction
+// redirects — for the outcome the evaluator reports (the live reference
+// pairs it with Step as the VM's trace hook). CALL/RET redirect fetch too,
+// but the evaluator does not score them, so they are fetched as
+// straight-line code and not studied here.
 func (s *Sim) ObserveEvent(ev vm.BranchEvent, out predict.Outcome) {
 	s.Branches++
 	fetchCycle := s.curCycle // the group this branch was fetched in
@@ -159,9 +155,8 @@ func (s *Sim) ObserveEvent(ev vm.BranchEvent, out predict.Outcome) {
 	s.redirect(fetchCycle + penalty)
 }
 
-// fetchRun accounts n sequential right-path instructions, equivalent to n
-// calls of fetchOne but in O(1): TraceObserver reconstructs whole fetch
-// runs from PC arithmetic rather than per-instruction VM callbacks.
+// fetchRun accounts n sequential right-path instructions entering the pipe,
+// in O(1): Step fetches one, TraceObserver each walked run at once.
 func (s *Sim) fetchRun(n int64) {
 	for n > 0 {
 		if s.slotsUsed >= s.Width {
@@ -187,47 +182,44 @@ func (s *Sim) fetchRun(n int64) {
 	}
 }
 
-// TraceObserver returns the observer driving the simulation from a recorded
-// branch stream alone (an evaluator fed by tracefile.Score), with no live VM
-// pass: the sequential instructions between consecutive branch events are
-// reconstructed from PC arithmetic — every recorded event carries the
-// actual next fetch position in ev.Target, so the straight-line run up to
-// the next event is the position gap. Control transfers the trace does not
-// record (CALL/RET) surface as gaps that do not match: a backward move is
-// charged as one fetch break (UnrecordedBreaks), a forward move is fetched
-// as if it were straight-line. The reconstruction is exact at W = 1 and
-// width-independent, so cross-width comparisons stay apples to apples.
-func (s *Sim) TraceObserver() predict.Observer { return &traced{s: s, expect: -1} }
-
-// traced is the trace-driven observer: expect is the fetch position the
-// previous event's outcome leads to (−1 before the first event).
-type traced struct {
-	s      *Sim
-	expect int64
+// TraceObserver returns the observer that drives sims from tr, a recorded
+// branch stream of prog: attach it to the evaluator that replays tr, then
+// call Finish. One walk of prog (vm.Walk) fetches every position the runs
+// executed into all of sims, so each ends in the state the live wiring
+// (Step) leaves it in, at every width.
+func TraceObserver(prog *isa.Program, tr *tracefile.Trace, sims ...*Sim) *Traced {
+	return &Traced{walk: vm.NewWalk(prog, tr.Steps, tr.Runs), sims: sims}
 }
 
-func (o *traced) ObserveEvent(ev vm.BranchEvent, out predict.Outcome) {
-	s := o.s
-	pc := int64(ev.PC)
-	switch {
-	case o.expect < 0:
-		s.fetchRun(pc) // straight-line prologue from program entry
-	case pc >= o.expect:
-		s.fetchRun(pc - o.expect)
-	default:
-		s.UnrecordedBreaks++
-		// Reset fetch-block alignment, but only if the current group has
-		// started filling — if the previous event already redirected,
-		// fetch is at a fresh boundary and redirecting again would burn
-		// an empty cycle (and break the W = 1 identity).
-		if s.slotsUsed > 0 {
-			s.redirect(s.curCycle + 1)
-		}
+// Traced is the trace-driven observer TraceObserver returns.
+type Traced struct {
+	walk *vm.Walk
+	sims []*Sim
+}
+
+// fetch hands one walked run of positions to every simulator.
+func (t *Traced) fetch(start, end int32) {
+	for _, s := range t.sims {
+		s.fetchRun(int64(end - start))
 	}
-	s.fetchOne() // the branch itself, as Step would have
-	s.ObserveEvent(ev, out)
-	o.expect = int64(ev.Target)
 }
+
+// ObserveEvent implements predict.Observer: it fetches every position up to
+// and including ev's branch, then applies the branch's outcome. Once the
+// walk has failed, events are ignored and Finish reports the failure.
+func (t *Traced) ObserveEvent(ev vm.BranchEvent, out predict.Outcome) {
+	if t.walk.Event(ev, t.fetch) != nil {
+		return
+	}
+	for _, s := range t.sims {
+		s.ObserveEvent(ev, out)
+	}
+}
+
+// Finish fetches the tail after the last event, through the final HALT,
+// and returns the walk's first error (vm.ErrWalk): a stream that does not
+// fit prog leaves the simulators meaningless.
+func (t *Traced) Finish() error { return t.walk.Finish(t.fetch) }
 
 // Cycles returns the total cycle count (through pipeline drain).
 func (s *Sim) Cycles() int64 {
@@ -238,15 +230,10 @@ func (s *Sim) Cycles() int64 {
 }
 
 // FetchCycles returns the cycles spent fetching (no drain), the
-// denominator for utilization. A redirect leaves curCycle pointing at a
-// fresh group; until something is fetched into it that cycle has not been
-// spent (this matters for trace-driven runs, which end on a branch).
-func (s *Sim) FetchCycles() int64 {
-	if s.slotsUsed == 0 {
-		return s.curCycle - 1
-	}
-	return s.curCycle
-}
+// denominator for utilization. A redirect leaves curCycle at a fresh group
+// that is spent only once something is fetched into it; every run ends by
+// fetching its HALT, so after a whole stream curCycle has been spent.
+func (s *Sim) FetchCycles() int64 { return s.curCycle }
 
 // CPI is cycles per right-path instruction.
 func (s *Sim) CPI() float64 {
@@ -300,11 +287,10 @@ func (s *Sim) Accuracy() float64 {
 	return 1 - float64(s.Mispredicts)/float64(s.Branches)
 }
 
-// redirects is the total number of fetch-address changes: correctly
-// predicted taken branches, misprediction recoveries, and (under
-// TraceObserver) unrecorded control transfers.
+// redirects is the total number of fetch-address changes the simulator
+// charges: correctly predicted taken branches and misprediction recoveries.
 func (s *Sim) redirects() int64 {
-	return s.GroupBreaks + s.Mispredicts + s.UnrecordedBreaks
+	return s.GroupBreaks + s.Mispredicts
 }
 
 // BreakRate is fetch redirects per branch — the calibration input of the

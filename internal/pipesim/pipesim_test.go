@@ -89,20 +89,20 @@ func TestWidthOneExactEquivalence(t *testing.T) {
 // evaluator's branches and mispredicts.
 func TestSharedEvaluator(t *testing.T) {
 	widths := []int{1, 4}
-	tr := recordTrace(t, "wc")
+	prog, tr := recordTrace(t, "wc")
 	for _, mode := range []string{"live", "trace"} {
-		newSims := func() []*pipesim.Sim {
-			sims := make([]*pipesim.Sim, len(widths))
-			for i, w := range widths {
-				sims[i] = pipesim.New(w, 1, 2, 2)
-			}
-			return sims
-		}
-		observer := func(sim *pipesim.Sim) predict.Observer {
+		var traced []*pipesim.Traced
+		observer := func(sims ...*pipesim.Sim) predict.Observer {
 			if mode == "live" {
-				return sim
+				obs := make(predict.Observers, len(sims))
+				for i, sim := range sims {
+					obs[i] = sim
+				}
+				return obs
 			}
-			return sim.TraceObserver()
+			o := pipesim.TraceObserver(prog, tr, sims...)
+			traced = append(traced, o)
+			return o
 		}
 		run := func(evs []*predict.Evaluator, sims []*pipesim.Sim) {
 			if mode == "live" {
@@ -116,17 +116,20 @@ func TestSharedEvaluator(t *testing.T) {
 			}
 		}
 
-		shared, own := newSims(), newSims()
-		var obs predict.Observers
+		shared, own := newSims(widths), newSims(widths)
 		var evs []*predict.Evaluator
 		for i := range widths {
-			obs = append(obs, observer(shared[i]))
 			evs = append(evs, &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2), Obs: observer(own[i])})
 		}
-		ev := &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2), Obs: obs}
+		ev := &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2), Obs: observer(shared...)}
 		run([]*predict.Evaluator{ev}, shared)
 		for i := range own {
 			run(evs[i:i+1], own[i:i+1])
+		}
+		for _, o := range traced {
+			if err := o.Finish(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i, w := range widths {
 			if *shared[i] != *own[i] {

@@ -162,6 +162,15 @@ func (t *Trace) Replay(hook vm.BranchFunc) {
 	_ = Score(context.Background(), t, []hookSink{hookSink(hook)})
 }
 
+// Walk replays the trace over p, the program it was recorded from, and
+// emits every position the recorded runs executed, in order (see vm.Walk).
+// A trace that does not fit p fails with the walk's vm.ErrWalk error.
+func (t *Trace) Walk(p *isa.Program, emit vm.RunFunc) error {
+	w := vm.NewWalk(p, t.Steps, t.Runs)
+	t.Replay(func(ev vm.BranchEvent) { w.Event(ev, emit) }) // the first error sticks
+	return w.Finish(emit)
+}
+
 // ScoreParallelContext replays the trace once through every hook, in
 // parallel (see Score). The trace is read-only during replay, so hooks only
 // need their own state to be private (each predictor evaluator is). When

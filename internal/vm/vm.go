@@ -31,8 +31,8 @@ type Config struct {
 	Ctx context.Context
 
 	// Trace, when non-nil, receives the code position of every executed
-	// instruction (the fetch stream). Used by the instruction-cache
-	// experiment; it slows the interpreter considerably.
+	// instruction (the fetch stream). It slows the interpreter considerably;
+	// Walk rebuilds the same stream from a recorded branch trace.
 	Trace func(pos int32)
 
 	// Metrics, when non-nil, accumulates the "vm.runs", "vm.steps",
