@@ -105,9 +105,11 @@ test:
 	$(GO) test ./...
 
 # The replay engine shares each recorded trace across concurrent scorers;
-# the race detector guards that read-only contract.
+# the race detector guards that read-only contract. Race instrumentation
+# slows internal/experiments to 6-8 minutes on a 2-vCPU host, close to go
+# test's default 10-minute package timeout, hence the explicit one.
 race:
-	$(GO) test -race -short ./...
+	$(GO) test -race -short -timeout 20m ./...
 
 # Short mode trims the differential fuzzer's program count.
 test-short:

@@ -8,6 +8,7 @@ package branchcost_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"sync"
 	"testing"
 
@@ -21,6 +22,7 @@ import (
 	"branchcost/internal/opt"
 	"branchcost/internal/pipesim"
 	"branchcost/internal/predict"
+	"branchcost/internal/profile"
 	"branchcost/internal/tracefile"
 	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
@@ -397,6 +399,79 @@ func BenchmarkTraceReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// traceBenches are the benchmarks the trace-layer benches record: two of
+// the paper's, an indirect-call workload and the 1291-site BTB stress test,
+// about 25M steps and 5M branch events in all.
+var traceBenches = []string{"wc", "cccp", "vcall", "btb-stress"}
+
+type traceJob struct {
+	prog   *isa.Program
+	inputs [][]byte
+}
+
+func traceJobs(b *testing.B) []traceJob {
+	var jobs []traceJob
+	for _, name := range traceBenches {
+		bench, err := workloads.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := bench.Program()
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs = append(jobs, traceJob{prog, bench.Inputs()})
+	}
+	return jobs
+}
+
+// BenchmarkTraceRecord measures the recording pass as core runs it: the VM
+// over every input of traceBenches with the profile collector and the trace
+// recorder hooked, in ns per VM step and per recorded branch event.
+func BenchmarkTraceRecord(b *testing.B) {
+	jobs := traceJobs(b)
+	var steps, events int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			col := &profile.Collector{P: profile.New()}
+			tr, err := tracefile.Record(j.prog, j.inputs, col.Hook())
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps += tr.Steps
+			events += int64(tr.Len())
+		}
+	}
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/float64(steps), "ns/step")
+	b.ReportMetric(ns/float64(events), "ns/event")
+}
+
+// BenchmarkTraceEncode measures Trace.WriteTo, the BCT2 encoding a corpus
+// store pays, over the traces of traceBenches, in ns per event.
+func BenchmarkTraceEncode(b *testing.B) {
+	var traces []*tracefile.Trace
+	for _, j := range traceJobs(b) {
+		tr, err := tracefile.Record(j.prog, j.inputs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces = append(traces, tr)
+	}
+	var events int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range traces {
+			if _, err := tr.WriteTo(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+			events += int64(tr.Len())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // BenchmarkPipesim measures the stage-level simulator over one benchmark

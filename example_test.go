@@ -32,7 +32,10 @@ func main() {
 		panic(err)
 	}
 	p := branchcost.PipelineConfig{K: 1, LBar: 1, MBar: 1}
-	s, c, f := eval.Cost(p)
+	s, c, f, err := eval.Cost(p)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("branches evaluated: %d\n", eval.FS().Stats.Branches)
 	fmt.Printf("FS at least as cheap as SBTB: %v\n", f <= s)
 	fmt.Printf("costs within model bounds: %v\n",

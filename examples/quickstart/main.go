@@ -84,7 +84,10 @@ func main() {
 		{"moderate pipeline (k=1, l=1, m=2)", branchcost.PipelineConfig{K: 1, LBar: 1, MBar: 2}},
 		{"deep pipeline     (k=4, l=3, m=4)", branchcost.PipelineConfig{K: 4, LBar: 3, MBar: 4}},
 	} {
-		s, c, f := eval.Cost(p.cfg)
+		s, c, f, err := eval.Cost(p.cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("\n%s:\n  SBTB %.3f   CBTB %.3f   FS %.3f cycles/branch\n",
 			p.label, s, c, f)
 	}

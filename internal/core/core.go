@@ -175,6 +175,21 @@ type Eval struct {
 // Scheme returns the named scheme's result (zero value when not scored).
 func (e *Eval) Scheme(name string) SchemeResult { return e.Schemes[name] }
 
+// Scored returns the results of the named schemes, or an error naming the
+// benchmark and the first scheme the evaluation did not score, whose zero
+// Stats would read as accuracy 1.
+func (e *Eval) Scored(schemes ...string) ([]SchemeResult, error) {
+	out := make([]SchemeResult, len(schemes))
+	for i, name := range schemes {
+		res, ok := e.Schemes[name]
+		if !ok {
+			return nil, fmt.Errorf("%s: scheme %s was not scored", e.Name, name)
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
 // SBTB returns the Simple BTB result.
 func (e *Eval) SBTB() SchemeResult { return e.Schemes["sbtb"] }
 
@@ -472,12 +487,17 @@ func (e *Eval) degrade(phase, kind, detail string) {
 }
 
 // Cost evaluates a frontend cost model for each scheme at the given
-// operating point, returning SBTB, CBTB and FS costs. Any pipeline.CostModel
-// works; the analytic pipeline.Config reproduces the paper's single-issue
-// numbers, the wider models (pipeline.Superscalar, pipeline.VariableFetch)
-// its superscalar extrapolations.
-func (e *Eval) Cost(m pipeline.CostModel) (sbtb, cbtb, fsc float64) {
-	return m.Cost(e.SBTB().Stats.Accuracy()),
-		m.Cost(e.CBTB().Stats.Accuracy()),
-		m.Cost(e.FS().Stats.Accuracy())
+// operating point, returning SBTB, CBTB and FS costs, or Scored's error
+// when the evaluation did not score one of the three. Any
+// pipeline.CostModel works; the analytic pipeline.Config reproduces the
+// paper's single-issue numbers, the wider models (pipeline.Superscalar,
+// pipeline.VariableFetch) its superscalar extrapolations.
+func (e *Eval) Cost(m pipeline.CostModel) (sbtb, cbtb, fsc float64, err error) {
+	res, err := e.Scored("sbtb", "cbtb", "fs")
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return m.Cost(res[0].Stats.Accuracy()),
+		m.Cost(res[1].Stats.Accuracy()),
+		m.Cost(res[2].Stats.Accuracy()), nil
 }

@@ -174,7 +174,10 @@ func TestCostHelper(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pipeline.Config{K: 1, LBar: 1, MBar: 1}
-	s, c, f := e.Cost(p)
+	s, c, f, err := e.Cost(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range []float64{s, c, f} {
 		if v < 1 || v > p.Penalty() {
 			t.Fatalf("cost %v outside [1, penalty]", v)

@@ -190,7 +190,7 @@ func ContextSwitch(s *Suite, names []string) ([]CtxSwitchRow, *stats.Table, erro
 			if err != nil {
 				return nil, nil, err
 			}
-			base, err := scored(e, "fs", "sbtb", "cbtb")
+			base, err := e.Scored("fs", "sbtb", "cbtb")
 			if err != nil {
 				return nil, nil, fmt.Errorf("ctxswitch: %w", err)
 			}
@@ -308,7 +308,7 @@ func CycleCheck(s *Suite, names []string) ([]CycleRow, *stats.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		results, err := scored(e, "sbtb", "cbtb", "fs")
+		results, err := e.Scored("sbtb", "cbtb", "fs")
 		if err != nil {
 			return nil, nil, fmt.Errorf("cycle: %w", err)
 		}

@@ -97,8 +97,12 @@ func DelayedBranch(s *Suite, names []string, d int, mbar float64) ([]DelayRow, *
 		if err != nil {
 			return nil, nil, err
 		}
+		fsRes, err := e.Scored("fs")
+		if err != nil {
+			return nil, nil, err
+		}
 		fillStats := delay.Analyze(e.Program, e.Profile, d)
-		a := e.FS().Stats.Accuracy() // both schemes predict with the likely bit
+		a := fsRes[0].Stats.Accuracy() // both schemes predict with the likely bit
 		cost := fillStats.Cost(a, mbar)
 		fsCfg := pipeline.Config{K: 1, LBar: float64(d - 1), MBar: mbar}
 		fsCost := fsCfg.Cost(a)

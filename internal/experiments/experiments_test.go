@@ -563,6 +563,8 @@ func TestSensitivitySchemeConfigs(t *testing.T) {
 // TestUnscoredSchemeIsAnError: every experiment that reads the suite's own
 // scores fails, naming the benchmark and the scheme, under a suite that did
 // not score that scheme, instead of reading its zero Stats as accuracy 1.
+// The cases share one suite, so the primary benchmarks that Tables 3-4, the
+// figures and the headline read are evaluated once.
 func TestUnscoredSchemeIsAnError(t *testing.T) {
 	noFS := experiments.NewSuite(core.Config{Schemes: []string{"sbtb", "cbtb"}})
 	names := []string{"wc"}
@@ -574,6 +576,11 @@ func TestUnscoredSchemeIsAnError(t *testing.T) {
 		{"ctxswitch", func() error { _, _, err := experiments.ContextSwitch(noFS, names); return err }},
 		{"pareto", func() error { _, _, err := experiments.Pareto(noFS, names); return err }},
 		{"cycle", func() error { _, _, err := experiments.CycleCheck(noFS, names); return err }},
+		{"table3", func() error { _, _, err := experiments.Table3(noFS); return err }},
+		{"table4", func() error { _, _, err := experiments.Table4(noFS); return err }},
+		{"figure", func() error { _, _, err := experiments.Figure(noFS, 1, 8); return err }},
+		{"headline", func() error { _, _, err := experiments.Headline(noFS); return err }},
+		{"delay", func() error { _, _, err := experiments.DelayedBranch(noFS, names, 2, 1); return err }},
 	} {
 		err := tc.run()
 		if err == nil || !strings.Contains(err.Error(), "scheme fs was not scored") {

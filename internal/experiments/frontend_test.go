@@ -68,9 +68,12 @@ func TestFrontendSweepWidthOneIsAnalytic(t *testing.T) {
 	// Eval.Cost accepts any frontend model; at W = 1 the wider models
 	// reproduce the analytic Config numbers bit-exactly.
 	base := pipeline.Config{K: 1, LBar: 2, MBar: 2}
-	s1, c1, f1 := e.Cost(base)
-	s2, c2, f2 := e.Cost(pipeline.Superscalar{W: 1, Base: base, BreakRate: 0.9})
-	s3, c3, f3 := e.Cost(pipeline.VariableFetch{W: 1, Base: base, Rate: 1})
+	s1, c1, f1, err := e.Cost(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, c2, f2, _ := e.Cost(pipeline.Superscalar{W: 1, Base: base, BreakRate: 0.9})
+	s3, c3, f3, _ := e.Cost(pipeline.VariableFetch{W: 1, Base: base, Rate: 1})
 	if s1 != s2 || c1 != c2 || f1 != f2 || s1 != s3 || c1 != c3 || f1 != f3 {
 		t.Errorf("W=1 models disagree through Eval.Cost: (%v %v %v) (%v %v %v) (%v %v %v)",
 			s1, c1, f1, s2, c2, f2, s3, c3, f3)

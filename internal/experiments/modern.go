@@ -37,7 +37,7 @@ func ModernSuite(s *Suite) ([]ModernRow, *stats.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		fsRes, err := scored(e, "fs")
+		fsRes, err := e.Scored("fs")
 		if err != nil {
 			return nil, nil, fmt.Errorf("modern: %w", err)
 		}

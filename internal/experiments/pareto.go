@@ -86,7 +86,7 @@ func Pareto(s *Suite, names []string) ([]ParetoRow, *stats.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		fsRes, err := scored(e, "fs")
+		fsRes, err := e.Scored("fs")
 		if err != nil {
 			return nil, nil, fmt.Errorf("pareto: %w", err)
 		}

@@ -548,26 +548,15 @@ func (s *Suite) AverageAccuracies() (aSBTB, aCBTB, aFS float64, err error) {
 	}
 	n := float64(len(evals))
 	for _, e := range evals {
-		aSBTB += e.SBTB().Stats.Accuracy()
-		aCBTB += e.CBTB().Stats.Accuracy()
-		aFS += e.FS().Stats.Accuracy()
+		res, err := e.Scored("sbtb", "cbtb", "fs")
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		aSBTB += res[0].Stats.Accuracy()
+		aCBTB += res[1].Stats.Accuracy()
+		aFS += res[2].Stats.Accuracy()
 	}
 	return aSBTB / n, aCBTB / n, aFS / n, nil
-}
-
-// scored returns the suite's results for the named schemes on e, or an
-// error naming the benchmark and the first scheme the suite did not score,
-// whose zero Stats would read as accuracy 1.
-func scored(e *core.Eval, schemes ...string) ([]core.SchemeResult, error) {
-	out := make([]core.SchemeResult, len(schemes))
-	for i, name := range schemes {
-		res, ok := e.Schemes[name]
-		if !ok {
-			return nil, fmt.Errorf("%s: scheme %s was not scored", e.Name, name)
-		}
-		out[i] = res
-	}
-	return out, nil
 }
 
 // newScheme constructs a registered scheme's predictor against one cached

@@ -109,13 +109,17 @@ func Table3(s *Suite) ([]Table3Row, *stats.Table, error) {
 	var rows []Table3Row
 	var col [5][]float64
 	for _, e := range evals {
+		res, err := e.Scored("sbtb", "cbtb", "fs")
+		if err != nil {
+			return nil, nil, err
+		}
 		r := Table3Row{
 			Benchmark: e.Name,
-			RhoSBTB:   e.SBTB().Stats.MissRatio(),
-			ASBTB:     e.SBTB().Stats.Accuracy(),
-			RhoCBTB:   e.CBTB().Stats.MissRatio(),
-			ACBTB:     e.CBTB().Stats.Accuracy(),
-			AFS:       e.FS().Stats.Accuracy(),
+			RhoSBTB:   res[0].Stats.MissRatio(),
+			ASBTB:     res[0].Stats.Accuracy(),
+			RhoCBTB:   res[1].Stats.MissRatio(),
+			ACBTB:     res[1].Stats.Accuracy(),
+			AFS:       res[2].Stats.Accuracy(),
 		}
 		rows = append(rows, r)
 		for i, v := range []float64{r.RhoSBTB, r.ASBTB, r.RhoCBTB, r.ACBTB, r.AFS} {
@@ -156,8 +160,14 @@ func Table4(s *Suite) ([]Table4Row, *stats.Table, error) {
 	var rows []Table4Row
 	var col [6][]float64
 	for _, e := range evals {
-		s2, c2, f2 := e.Cost(p2)
-		s3, c3, f3 := e.Cost(p3)
+		s2, c2, f2, err := e.Cost(p2)
+		if err != nil {
+			return nil, nil, err
+		}
+		s3, c3, f3, err := e.Cost(p3)
+		if err != nil {
+			return nil, nil, err
+		}
 		r := Table4Row{Benchmark: e.Name, SBTB2: s2, CBTB2: c2, FS2: f2,
 			SBTB3: s3, CBTB3: c3, FS3: f3}
 		rows = append(rows, r)

@@ -86,9 +86,11 @@ type BCT2Writer struct {
 
 	w        io.Writer
 	sites    []traceSite
-	bySite   map[int32]uint32
+	bySite   pcIndex
 	newSites []uint32 // sites first seen in the current block
 	events   []byte   // encoded event stream of the current block
+	head     []byte   // flush's reused payload header
+	frame    []byte   // flush's reused block frame
 	nEvents  int
 	count    uint64
 	blocks   int
@@ -98,7 +100,7 @@ type BCT2Writer struct {
 
 // NewBCT2Writer writes the magic and version and returns a writer.
 func NewBCT2Writer(w io.Writer) (*BCT2Writer, error) {
-	tw := &BCT2Writer{w: w, bySite: map[int32]uint32{}}
+	tw := &BCT2Writer{w: w}
 	hdr := append(append([]byte{}, magic2[:]...), bct2Version)
 	if _, err := w.Write(hdr); err != nil {
 		return nil, err
@@ -128,14 +130,11 @@ func (tw *BCT2Writer) Record(ev vm.BranchEvent) {
 		tw.err = fmt.Errorf("tracefile: bct2: recording non-branch op %d", uint8(ev.Op))
 		return
 	}
-	idx, ok := tw.bySite[ev.PC]
+	idx, ok := tw.bySite.get(ev.PC)
 	if !ok {
 		idx = uint32(len(tw.sites))
-		tw.sites = append(tw.sites, traceSite{
-			pc: ev.PC, id: ev.ID, op: ev.Op, likely: ev.Likely,
-			takenTarget: -1, fallTarget: -1,
-		})
-		tw.bySite[ev.PC] = idx
+		tw.sites = append(tw.sites, newSite(ev))
+		tw.bySite.put(ev.PC, idx)
 		tw.newSites = append(tw.newSites, idx)
 	}
 	// The decoder learns per-direction targets from the first event carrying
@@ -163,28 +162,85 @@ func (tw *BCT2Writer) Record(ev vm.BranchEvent) {
 	}
 }
 
+// encode appends every event of t, read straight from its packed words,
+// exactly as Record would encode the replayed events: sites are numbered in
+// the order the stream first references them (a trace read from a file
+// lists its sites in dictionary order, and may list some that no event
+// references), and a direct branch's target goes inline only on the first
+// event in each direction. The trace admitted every event when it was
+// recorded or decoded, so the only check left is Record's opcode check,
+// once per site. The event append is Record's, written out here: the call
+// would cost a third of the loop.
+func (tw *BCT2Writer) encode(t *Trace) {
+	stream, sites := t.stream, t.sites
+	num := make([]uint32, len(sites))  // trace site -> writer site + 1; 0 until referenced
+	sent := make([]bool, 2*len(sites)) // per packed word: its direction's target went inline
+	for pos := 0; pos < len(stream) && tw.err == nil; {
+		word := stream[pos]
+		pos++
+		i := word >> 1
+		s := &sites[i]
+		if num[i] == 0 {
+			if !s.op.Valid() || !s.op.IsBranch() {
+				tw.err = fmt.Errorf("tracefile: bct2: recording non-branch op %d", uint8(s.op))
+				return
+			}
+			tw.sites = append(tw.sites, *s)
+			num[i] = uint32(len(tw.sites))
+			tw.newSites = append(tw.newSites, num[i]-1)
+		}
+		w := uint64(num[i]-1)<<2 | uint64(word&1)<<1
+		inline, target := false, int32(0)
+		switch {
+		case s.op == isa.JMPI:
+			inline, target = true, int32(stream[pos])
+			pos++
+		case !sent[word]:
+			sent[word] = true
+			inline, target = true, s.fallTarget
+			if word&1 != 0 {
+				target = s.takenTarget
+			}
+		}
+		if inline {
+			w |= 1
+		}
+		tw.events = binary.AppendUvarint(tw.events, w)
+		if inline {
+			tw.events = binary.AppendVarint(tw.events, int64(target)-int64(s.pc))
+		}
+		tw.nEvents++
+		tw.count++
+		if tw.nEvents >= blockEvents {
+			tw.flush()
+		}
+	}
+}
+
 // flush frames and writes the current block.
 func (tw *BCT2Writer) flush() {
 	if tw.err != nil || tw.nEvents == 0 {
 		return
 	}
-	payload := binary.AppendUvarint(nil, uint64(tw.nEvents))
-	payload = binary.AppendUvarint(payload, uint64(len(tw.newSites)))
+	head := binary.AppendUvarint(tw.head[:0], uint64(tw.nEvents))
+	head = binary.AppendUvarint(head, uint64(len(tw.newSites)))
 	for _, idx := range tw.newSites {
 		s := &tw.sites[idx]
-		payload = binary.AppendVarint(payload, int64(s.pc)-int64(tw.prevPC))
-		payload = binary.AppendVarint(payload, int64(s.id)-int64(s.pc))
+		head = binary.AppendVarint(head, int64(s.pc)-int64(tw.prevPC))
+		head = binary.AppendVarint(head, int64(s.id)-int64(s.pc))
 		op := byte(s.op)
 		if s.likely {
 			op |= 0x80
 		}
-		payload = append(payload, op)
+		head = append(head, op)
 		tw.prevPC = s.pc
 	}
-	payload = append(payload, tw.events...)
-	frame := binary.AppendUvarint(nil, uint64(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+	// The payload is the header followed by the events.
+	crc := crc32.Update(crc32.Checksum(head, crcTable), crcTable, tw.events)
+	frame := binary.AppendUvarint(tw.frame[:0], uint64(len(head)+len(tw.events)))
+	frame = append(append(frame, head...), tw.events...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc)
+	tw.head, tw.frame = head, frame
 	if _, err := tw.w.Write(frame); err != nil {
 		tw.err = err
 		return
@@ -223,7 +279,7 @@ type BCT2Reader struct {
 	br     *bufio.Reader
 	off    int64
 	sites  []traceSite
-	bySite map[int32]uint32 // pc -> index into sites, to reject a repeat
+	bySite pcIndex          // pc -> index into sites, to reject a repeat
 	buf    []byte           // reusable payload buffer
 	words  []uint32         // NextBlock's reusable packed block
 	table  []vm.BranchEvent // NextBlock's expansions of the dictionary
@@ -268,7 +324,7 @@ func NewBCT2Reader(r io.Reader) (*BCT2Reader, error) {
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)
 	}
-	d := &BCT2Reader{br: br, off: 4, bySite: map[int32]uint32{}}
+	d := &BCT2Reader{br: br, off: 4}
 	v, err := d.readByte()
 	if err != nil {
 		return nil, fmt.Errorf("tracefile: bct2: short header: %w", noEOF(err))
@@ -482,10 +538,10 @@ func (d *BCT2Reader) decodePayload(payload []byte, start int64, dst []uint32) ([
 			!op.Valid() || !op.IsBranch() {
 			return nil, d.corruptf(start, "corrupt site entry %d (pc %d, op %d)", i, pc, opByte&0x7f)
 		}
-		if _, dup := d.bySite[int32(pc)]; dup {
+		if _, dup := d.bySite.get(int32(pc)); dup {
 			return nil, d.corruptf(start, "site entry %d repeats pc %d", i, pc)
 		}
-		d.bySite[int32(pc)] = uint32(len(d.sites))
+		d.bySite.put(int32(pc), uint32(len(d.sites)))
 		d.sites = append(d.sites, traceSite{
 			pc: int32(pc), id: int32(id), op: op, likely: opByte&0x80 != 0,
 			takenTarget: -1, fallTarget: -1,

@@ -62,6 +62,65 @@ func TestBCT2RoundTripEveryBenchmark(t *testing.T) {
 	}
 }
 
+// referenceBCT2 encodes tr the streaming way, event by event through
+// BCT2Writer.Record: the encoding Trace.WriteTo must reproduce byte for
+// byte.
+func referenceBCT2(tr *tracefile.Trace) ([]byte, error) {
+	var buf bytes.Buffer
+	tw, err := tracefile.NewBCT2Writer(&buf)
+	if err != nil {
+		return nil, err
+	}
+	tw.Steps, tw.Runs = tr.Steps, tr.Runs
+	tr.Replay(tw.Record)
+	err = tw.Close()
+	return buf.Bytes(), err
+}
+
+// TestWriteToMatchesReferenceEveryBenchmark: Trace.WriteTo encodes from the
+// packed words, and must write exactly the bytes the streaming writer
+// writes for the same events, on every registered benchmark over all its
+// inputs (many blocks, sites first seen in late blocks, JMPI targets) —
+// both for the recorded trace and for the trace loaded back from those
+// bytes, so corpus entries written before or after stay interchangeable.
+func TestWriteToMatchesReferenceEveryBenchmark(t *testing.T) {
+	for _, b := range workloads.Everything() {
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			prog, err := b.Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recorded, err := tracefile.Record(prog, b.Inputs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := referenceBCT2(recorded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := tracefile.ReadTrace(bytes.NewReader(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, tr := range map[string]*tracefile.Trace{"recorded": recorded, "loaded": loaded} {
+				var got bytes.Buffer
+				n, err := tr.WriteTo(&got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != int64(got.Len()) {
+					t.Fatalf("%s: WriteTo reported %d bytes, wrote %d", name, n, got.Len())
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("%s: WriteTo wrote %d bytes that differ from the reference's %d",
+						name, got.Len(), len(want))
+				}
+			}
+		})
+	}
+}
+
 // TestScoreStreamMatchesReplay: streaming block replay must produce exactly
 // the statistics of materialized replay (also the -race exercise for the
 // fan-out).
@@ -196,7 +255,8 @@ func TestWriteToDefaultsToBCT2(t *testing.T) {
 // the bytes, decoding must terminate without panicking, and any non-EOF
 // outcome must be a located error. A stream that decodes to EOF must also
 // load through ReadTrace and replay, without panicking, to exactly the
-// events block decoding produced.
+// events block decoding produced, and the loaded trace's WriteTo must write
+// the reference encoding of those events byte for byte.
 func FuzzBCT2Decode(f *testing.F) {
 	tr, err := tracefile.Record(mustProgram(f), [][]byte{nil})
 	if err != nil {
@@ -226,6 +286,8 @@ func FuzzBCT2Decode(f *testing.F) {
 	f.Add([]byte("BCT2\x01\x00\x64\x01\xde\xad\xbe\xef"))             // end marker, bogus trailer CRC
 	f.Add(dupPCStream())                                              // one pc, two static identities
 	f.Add(retargetStream())                                           // a direct branch changing target
+	f.Add(lateSiteStream())                                           // a site first referenced a block after its entry
+	f.Add(unusedSiteStream())                                         // a site no event references
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := tracefile.NewBCT2Reader(bytes.NewReader(data))
 		if err != nil {
@@ -256,6 +318,12 @@ func FuzzBCT2Decode(f *testing.F) {
 		})
 		if i != len(decoded) {
 			t.Fatalf("replayed %d events, block decoding gave %d", i, len(decoded))
+		}
+		want, wantErr := referenceBCT2(tr)
+		var got bytes.Buffer
+		if _, err := tr.WriteTo(&got); (err != nil) != (wantErr != nil) || !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("WriteTo wrote %d bytes (err %v), the reference %d (err %v)",
+				got.Len(), err, len(want), wantErr)
 		}
 	})
 }

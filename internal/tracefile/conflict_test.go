@@ -17,14 +17,19 @@ import (
 	"branchcost/internal/vm"
 )
 
-// bct2Stream frames payload as the one block of a complete BCT2 stream —
-// block, end marker and trailer all checksum-valid — so only the decoder's
+// bct2Stream frames payloads as the blocks of a complete BCT2 stream —
+// blocks, end marker and trailer all checksum-valid — so only the decoder's
 // structural checks stand between it and a clean decode.
-func bct2Stream(payload []byte) []byte {
+func bct2Stream(payloads ...[]byte) []byte {
+	crcTable := crc32.MakeTable(crc32.Castagnoli)
+	s := []byte("BCT2\x01")
+	for _, p := range payloads {
+		s = append(binary.AppendUvarint(s, uint64(len(p))), p...)
+		s = binary.LittleEndian.AppendUint32(s, crc32.Checksum(p, crcTable))
+	}
 	trailer := []byte{0x00, 0x01} // steps 0, runs 1
-	s := append(seedBlock(payload), 0x00)
-	s = append(s, trailer...)
-	return binary.LittleEndian.AppendUint32(s, crc32.Checksum(trailer, crc32.MakeTable(crc32.Castagnoli)))
+	s = append(append(s, 0x00), trailer...)
+	return binary.LittleEndian.AppendUint32(s, crc32.Checksum(trailer, crcTable))
 }
 
 // dupPCStream lists pc 10 twice in its dictionary, as an indirect jump and
@@ -51,6 +56,36 @@ func retargetStream() []byte {
 		0x02,       // taken, learned target
 		0x03, 0x28, // taken, target 30
 		0x02, // taken, learned target
+	})
+}
+
+// lateSiteStream's first block lists pcs 10 and 20 but references only pc
+// 20; pc 10's first event is in the second block. Sites in first-reference
+// order are pc 20, then pc 10: the reverse of the dictionary's order.
+func lateSiteStream() []byte {
+	return bct2Stream([]byte{
+		0x02, 0x02, // 2 events, 2 new sites
+		0x14, 0x00, byte(isa.BEQ), // pc 10
+		0x14, 0x00, byte(isa.BEQ), // pc 20
+		0x07, 0x14, // site 1 taken, target 30
+		0x06, // site 1 taken, learned target
+	}, []byte{
+		0x01, 0x00, // 1 event, no new sites
+		0x01, 0x02, // site 0 not taken, target 11
+	})
+}
+
+// unusedSiteStream lists pcs 10, 20 and 30, and no event references pc 20.
+// A re-encoding lists only pcs 10 and 30, numbered 0 and 1.
+func unusedSiteStream() []byte {
+	return bct2Stream([]byte{
+		0x03, 0x03, // 3 events, 3 new sites
+		0x14, 0x00, byte(isa.BEQ), // pc 10
+		0x14, 0x00, byte(isa.BEQ), // pc 20
+		0x14, 0x00, byte(isa.BEQ), // pc 30
+		0x03, 0x3c, // site 0 taken, target 40
+		0x09, 0x02, // site 2 not taken, target 31
+		0x02, // site 0 taken, learned target
 	})
 }
 

@@ -7,7 +7,10 @@
 //
 // Trace files have one encoding, the block-structured compressed BCT2 (see
 // bct2.go), used for standalone files and the on-disk corpus alike.
-// ReadTrace rejects any other stream with ErrBadMagic.
+// ReadTrace rejects any other stream with ErrBadMagic. Trace.WriteTo
+// encodes a recorded trace straight from its packed words; BCT2Writer
+// encodes a live event stream as it arrives; both write the same bytes for
+// the same events.
 package tracefile
 
 import (
@@ -33,12 +36,15 @@ import (
 // taken bit — with indirect jumps (the only branches whose target varies at
 // run time) spending a second word on the target. A replayed event is
 // bit-identical to the recorded vm.BranchEvent at ~4 bytes per event.
+// Recording finds an event's site through a PC-indexed slice (see pcIndex),
+// and WriteTo encodes BCT2 from the packed words without rebuilding an
+// event.
 //
 // A Trace records the stream of exactly one program; mixing programs would
 // alias PCs across different instructions.
 type Trace struct {
 	sites  []traceSite
-	bySite map[int32]uint32 // PC -> index into sites
+	bySite pcIndex // PC -> index into sites
 	stream []uint32
 	events int
 
@@ -77,17 +83,11 @@ func (t *Trace) Record(ev vm.BranchEvent) {
 
 // add is Record returning the contradiction as an error.
 func (t *Trace) add(ev vm.BranchEvent) error {
-	if t.bySite == nil {
-		t.bySite = map[int32]uint32{}
-	}
-	idx, ok := t.bySite[ev.PC]
+	idx, ok := t.bySite.get(ev.PC)
 	if !ok {
 		idx = uint32(len(t.sites))
-		t.sites = append(t.sites, traceSite{
-			pc: ev.PC, id: ev.ID, op: ev.Op, likely: ev.Likely,
-			takenTarget: -1, fallTarget: -1,
-		})
-		t.bySite[ev.PC] = idx
+		t.sites = append(t.sites, newSite(ev))
+		t.bySite.put(ev.PC, idx)
 	}
 	if _, ok := t.sites[idx].admit(ev); !ok {
 		return t.sites[idx].conflict(ev)
@@ -103,6 +103,54 @@ func (t *Trace) add(ev vm.BranchEvent) error {
 	}
 	t.events++
 	return nil
+}
+
+// newSite is the site ev is the first event of; neither target is known.
+func newSite(ev vm.BranchEvent) traceSite {
+	return traceSite{
+		pc: ev.PC, id: ev.ID, op: ev.Op, likely: ev.Likely,
+		takenTarget: -1, fallTarget: -1,
+	}
+}
+
+// maxDensePC bounds the PCs a pcIndex holds in its slice: ten times the
+// largest registered program (btb-stress's FS binary, about 11.5K
+// positions), so a PC past it — or a negative one, as a hostile trace file
+// may name — costs one map entry, never an allocation the size of the PC.
+const maxDensePC = 1 << 17
+
+// pcIndex finds a branch site's index by its PC. PCs in [0, maxDensePC)
+// index a slice grown on demand, as profile.Collector indexes branches by
+// ID, so recording pays a bounds check per event instead of a map lookup;
+// any other PC goes to a map. The zero value is an empty index.
+type pcIndex struct {
+	dense []uint32         // pc -> site index + 1; 0 while pc has no site
+	far   map[int32]uint32 // pc -> site index, for PCs dense does not hold
+}
+
+// get returns pc's site index, and whether pc has a site.
+func (x *pcIndex) get(pc int32) (uint32, bool) {
+	if uint32(pc) < uint32(len(x.dense)) {
+		v := x.dense[pc]
+		return v - 1, v != 0
+	}
+	idx, ok := x.far[pc]
+	return idx, ok
+}
+
+// put records idx as pc's site index.
+func (x *pcIndex) put(pc int32, idx uint32) {
+	if pc < 0 || pc >= maxDensePC {
+		if x.far == nil {
+			x.far = map[int32]uint32{}
+		}
+		x.far[pc] = idx
+		return
+	}
+	if n := int(pc) + 1; n > len(x.dense) {
+		x.dense = append(x.dense, make([]uint32, n-len(x.dense))...)
+	}
+	x.dense[pc] = idx + 1
 }
 
 // admit checks ev against the site's static identity and, for a direct
@@ -231,7 +279,9 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // WriteTo serializes the trace in the BCT2 format. It implements
-// io.WriterTo; no seeking is needed, so any io.Writer works.
+// io.WriterTo; no seeking is needed, so any io.Writer works. The blocks are
+// encoded straight from the packed words and the site table, and are byte
+// for byte what BCT2Writer.Record writes for the replayed events.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	tw, err := NewBCT2Writer(cw)
@@ -239,7 +289,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	tw.Steps, tw.Runs = t.Steps, t.Runs
-	t.Replay(tw.Record)
+	tw.encode(t)
 	return cw.n, tw.Close()
 }
 

@@ -2,9 +2,12 @@ package tracefile_test
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"branchcost/internal/btb"
+	"branchcost/internal/isa"
 	"branchcost/internal/predict"
 	"branchcost/internal/tracefile"
 	"branchcost/internal/vm"
@@ -105,5 +108,43 @@ func TestScoreParallelMatchesSequential(t *testing.T) {
 		if seq[i].S != par[i].S {
 			t.Fatalf("evaluator %d: parallel stats differ:\nseq %+v\npar %+v", i, seq[i].S, par[i].S)
 		}
+	}
+}
+
+// TestTraceRecordFarPCs: a PC the recording index's slice does not hold —
+// negative, or far beyond any program — still records and replays exactly,
+// and costs no allocation in proportion to the PC.
+func TestTraceRecordFarPCs(t *testing.T) {
+	evs := []vm.BranchEvent{
+		{PC: math.MaxInt32, ID: 1, Op: isa.JMP, Taken: true, Target: 3},
+		{PC: -7, ID: 2, Op: isa.BEQ, Target: 4},
+		{PC: 5, ID: 3, Op: isa.BNE, Taken: true, Target: 9},
+		{PC: 1 << 30, ID: 4, Op: isa.JMPI, Taken: true, Target: 12},
+		{PC: math.MaxInt32, ID: 1, Op: isa.JMP, Taken: true, Target: 3},
+		{PC: -7, ID: 2, Op: isa.BEQ, Target: 4},
+		{PC: 1 << 30, ID: 4, Op: isa.JMPI, Taken: true, Target: 13},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := &tracefile.Trace{}
+	for _, ev := range evs {
+		tr.Record(ev)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("recording %d events allocated %d bytes", len(evs), grew)
+	}
+	if tr.Sites() != 4 {
+		t.Fatalf("%d sites, want 4", tr.Sites())
+	}
+	i := 0
+	tr.Replay(func(ev vm.BranchEvent) {
+		if i >= len(evs) || ev != evs[i] {
+			t.Fatalf("replayed event %d = %+v", i, ev)
+		}
+		i++
+	})
+	if i != len(evs) {
+		t.Fatalf("replayed %d events, recorded %d", i, len(evs))
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"branchcost/internal/isa"
@@ -20,7 +21,10 @@ import (
 
 // Config controls resource limits of a run.
 type Config struct {
-	MemWords int   // data memory size in words; 0 means 1<<20
+	// MemWords is the data memory size in words; 0 means 1<<20. A run takes
+	// its memory from a pool of memories of this size and zeroes it before
+	// use, so no run sees a word another run wrote.
+	MemWords int
 	MaxSteps int64 // dynamic instruction limit; 0 means 1<<34
 
 	// Ctx, when non-nil, is polled every ctxCheckSteps dynamic instructions:
@@ -114,7 +118,10 @@ func RunContext(ctx context.Context, p *isa.Program, input []byte, hook BranchFu
 }
 
 // Run executes p on the given input bytes. hook, if non-nil, is invoked for
-// every executed counted branch.
+// every executed counted branch. The run's data memory comes zeroed from a
+// pool and returns to it when the run ends, however it ends: a suite's
+// hundreds of runs then reuse a few memories instead of faulting in and
+// clearing a fresh 8 MiB (at the default MemWords) each time.
 func Run(p *isa.Program, input []byte, hook BranchFunc, cfg Config) (Result, error) {
 	RunCount.Add(1)
 	cfg = cfg.withDefaults()
@@ -147,7 +154,9 @@ type Machine struct {
 
 func (m *Machine) run(input []byte, hook BranchFunc) (Result, error) {
 	p := m.prog
-	m.mem = make([]int64, m.cfg.MemWords)
+	mem := getMem(m.cfg.MemWords)
+	defer memPool(len(*mem)).Put(mem)
+	m.mem = *mem
 	copy(m.mem, p.Data)
 	m.in = input
 	m.regs[isa.SP] = int64(m.cfg.MemWords)
@@ -367,6 +376,29 @@ func (m *Machine) run(input []byte, hook BranchFunc) (Result, error) {
 		}
 		r[isa.RZ] = 0 // r0 stays hardwired to zero
 	}
+}
+
+// memPools holds one sync.Pool of data memories (*[]int64) per size in
+// words.
+var memPools sync.Map
+
+func memPool(words int) *sync.Pool {
+	p, ok := memPools.Load(words)
+	if !ok {
+		p, _ = memPools.LoadOrStore(words, new(sync.Pool))
+	}
+	return p.(*sync.Pool)
+}
+
+// getMem returns a zeroed data memory of the given size, reusing a pooled
+// one when there is one.
+func getMem(words int) *[]int64 {
+	if mem, ok := memPool(words).Get().(*[]int64); ok {
+		clear(*mem)
+		return mem
+	}
+	mem := make([]int64, words)
+	return &mem
 }
 
 func (m *Machine) result(steps, branches int64) Result {

@@ -438,3 +438,108 @@ func TestTraceHookSeesEveryInstruction(t *testing.T) {
 		t.Fatalf("trace %v, want %v", tracePositions, want)
 	}
 }
+
+// dirtyProg writes marker into every word of a words-word memory, then ends
+// with end: a HALT, an out-of-range load, or a loop the step budget or a
+// cancelled context ends.
+func dirtyProg(words, marker int64, end isa.Inst) *isa.Program {
+	return prog(
+		isa.Inst{Op: isa.LDI, Rd: 4, Imm: 0},
+		isa.Inst{Op: isa.LDI, Rd: 5, Imm: marker},
+		isa.Inst{Op: isa.LDI, Rd: 6, Imm: words},
+		isa.Inst{Op: isa.ST, Rs: 4, Rt: 5},
+		isa.Inst{Op: isa.ADDI, Rd: 4, Rs: 4, Imm: 1},
+		isa.Inst{Op: isa.BLT, Rs: 4, Rt: 6, Target: 3},
+		end,
+	)
+}
+
+// orProg outputs the low byte of the OR of every word of a words-word
+// memory: 0 when the run found its memory zeroed.
+func orProg(words int64) *isa.Program {
+	return prog(
+		isa.Inst{Op: isa.LDI, Rd: 4, Imm: 0},
+		isa.Inst{Op: isa.LDI, Rd: 7, Imm: 0},
+		isa.Inst{Op: isa.LDI, Rd: 6, Imm: words},
+		isa.Inst{Op: isa.LD, Rd: 5, Rs: 4},
+		isa.Inst{Op: isa.OR, Rd: 7, Rs: 7, Rt: 5},
+		isa.Inst{Op: isa.ADDI, Rd: 4, Rs: 4, Imm: 1},
+		isa.Inst{Op: isa.BLT, Rs: 4, Rt: 6, Target: 3},
+		isa.Inst{Op: isa.OUT, Rs: 7},
+		isa.Inst{Op: isa.HALT},
+	)
+}
+
+// TestRunsNeverShareMemory: data memory is pooled across runs, and a run
+// must still start from zeroed memory whatever the run before it wrote and
+// however that run ended — a halt, a trap, the step budget or a cancelled
+// context — and whatever memory size either run used.
+func TestRunsNeverShareMemory(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	const small, large = 4096, 8192
+	for _, tc := range []struct {
+		name         string
+		dirty, check int64 // MemWords of the writing and the reading run
+		end          isa.Inst
+		cfg          vm.Config
+		want         error
+	}{
+		{"halt", small, small, isa.Inst{Op: isa.HALT}, vm.Config{}, nil},
+		{"mem-range", small, small, isa.Inst{Op: isa.LD, Rd: 7, Rs: 6}, vm.Config{}, vm.ErrMemRange},
+		{"max-steps", small, small, isa.Inst{Op: isa.JMP, Target: 6}, vm.Config{MaxSteps: 20000}, vm.ErrMaxSteps},
+		{"cancelled", small, small, isa.Inst{Op: isa.JMP, Target: 6}, vm.Config{Ctx: cancelled}, context.Canceled},
+		{"larger-then-smaller", large, small, isa.Inst{Op: isa.HALT}, vm.Config{}, nil},
+		{"smaller-then-larger", small, large, isa.Inst{Op: isa.HALT}, vm.Config{}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.MemWords = int(tc.dirty)
+			for i := 0; i < 3; i++ {
+				if _, err := vm.Run(dirtyProg(tc.dirty, 0x5a, tc.end), nil, nil, cfg); !errors.Is(err, tc.want) {
+					t.Fatalf("writing run: err = %v, want %v", err, tc.want)
+				}
+				res, err := vm.Run(orProg(tc.check), nil, nil, vm.Config{MemWords: int(tc.check)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(res.Output) != "\x00" {
+					t.Fatalf("round %d: reading run saw words %#x an earlier run wrote", i, res.Output)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentRunsNeverShareMemory: runs on several goroutines draw from
+// the same pool; each must see only its own writes (run under -race, this
+// also checks the pool hands a memory to one run at a time).
+func TestConcurrentRunsNeverShareMemory(t *testing.T) {
+	const words = 2048
+	errs := make(chan error, 4)
+	for g := range 4 {
+		go func() {
+			marker := int64(g + 1)
+			for range 20 {
+				if _, err := vm.Run(dirtyProg(words, marker, isa.Inst{Op: isa.HALT}), nil, nil, vm.Config{MemWords: words}); err != nil {
+					errs <- err
+					return
+				}
+				res, err := vm.Run(orProg(words), nil, nil, vm.Config{MemWords: words})
+				if err == nil && string(res.Output) != "\x00" {
+					err = fmt.Errorf("goroutine %d: reading run saw words %#x another run wrote", g, res.Output)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range 4 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
