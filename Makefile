@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race telemetry-check chaos chaos-serve serve-check verify frontend-check pareto workloads-check bench bench-json corpus-bench repro tables figures ablations fuzz fuzz-short goldens clean
+.PHONY: all build test vet race telemetry-check chaos chaos-serve serve-check verify frontend-check pareto workloads-check bench bench-json corpus-bench replay-bench repro tables figures ablations fuzz fuzz-short goldens clean
 
 all: build vet test race telemetry-check chaos serve-check verify frontend-check pareto workloads-check
 
@@ -132,6 +132,11 @@ bench-json:
 corpus-bench:
 	$(GO) test ./internal/experiments -run '^$$' \
 		-bench 'BenchmarkSuiteCorpusReplay|BenchmarkSuiteLiveReexec' -benchmem
+
+# Per-scheme scoring cost: ns/event of every registered scheme alone, and
+# of all of them in one tracefile.Score call, over five recorded traces.
+replay-bench:
+	$(GO) test . -run '^$$' -bench 'BenchmarkSchemeReplay' -benchtime 1x
 
 # Regenerate the paper's full evaluation (tables, figures, ablations).
 repro:

@@ -474,6 +474,62 @@ func BenchmarkTraceEncode(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
+// replayBenches are the benchmarks BenchmarkSchemeReplay scores: two of the
+// paper's (grep is the suite's longest trace), the interpreter with its
+// indirect dispatch, an indirect-call workload and the BTB stress test.
+var replayBenches = []string{"wc", "grep", "interp", "vcall", "btb-stress"}
+
+// BenchmarkSchemeReplay measures scoring recorded traces the way core
+// does, one tracefile.Score call per trace, in ns per event: each
+// registered scheme alone, then all of them together in one call (the
+// suite-warm set), over the traces of replayBenches. Predictors are built
+// outside the timer.
+func BenchmarkSchemeReplay(b *testing.B) {
+	names := predict.Names()
+	var evals []*core.Eval
+	var events int64
+	for _, name := range replayBenches {
+		bench, err := workloads.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := core.EvaluateBenchmark(bench, core.Config{Schemes: names})
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals = append(evals, e)
+		events += int64(e.Trace.Len())
+	}
+	newEvaluators := func(e *core.Eval, schemes []string) []*predict.Evaluator {
+		out := make([]*predict.Evaluator, len(schemes))
+		for i, n := range schemes {
+			if sc := predict.MustLookup(n); sc.Transformed {
+				out[i] = &predict.Evaluator{P: e.FSResult.Predictor(e.Program)}
+			} else {
+				out[i] = &predict.Evaluator{P: sc.New(predict.SchemeContext{Prog: e.Program, Profile: e.Profile})}
+			}
+		}
+		return out
+	}
+	score := func(b *testing.B, schemes []string) {
+		for i := 0; i < b.N; i++ {
+			for _, e := range evals {
+				b.StopTimer()
+				evs := newEvaluators(e, schemes)
+				b.StartTimer()
+				if err := tracefile.Score(context.Background(), e.Trace, evs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*events), "ns/event")
+	}
+	for _, n := range names {
+		b.Run(n, func(b *testing.B) { score(b, []string{n}) })
+	}
+	b.Run("all", func(b *testing.B) { score(b, names) })
+}
+
 // BenchmarkPipesim measures the stage-level simulator over one benchmark
 // run at width 4, observing the CBTB's evaluator.
 func BenchmarkPipesim(b *testing.B) {

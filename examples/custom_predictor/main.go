@@ -9,6 +9,10 @@
 // (RegisterScheme + Config.Schemes). Registered schemes ride the engine's
 // record-once/replay-many pipeline: the benchmark executes once, and every
 // scheme — built-in and custom — scores by replaying the recorded trace.
+// An external predictor needs only the four Predictor methods: the
+// built-in schemes also implement predict.Stepper (one call per branch) or
+// predict.Stateless (scored from the trace's event counts), but both are
+// optional speed-ups, and a predictor without them scores the same.
 package main
 
 import (

@@ -216,13 +216,26 @@ func (s *SBTB) Predict(ev vm.BranchEvent) predict.Prediction {
 }
 
 // Update implements predict.Predictor.
-func (s *SBTB) Update(ev vm.BranchEvent) {
-	if ev.Taken {
-		e := s.buf.Insert(ev.PC)
-		e.Target = ev.Target
-		return
+func (s *SBTB) Update(ev vm.BranchEvent) { s.Step(ev) }
+
+// Step implements predict.Stepper with one buffer lookup: a taken branch
+// caches its target (allocating on a miss), and a hit on a not-taken
+// branch deletes the line.
+func (s *SBTB) Step(ev vm.BranchEvent) predict.Prediction {
+	e, ok := s.buf.Lookup(ev.PC)
+	if !ok {
+		if ev.Taken {
+			s.buf.Insert(ev.PC).Target = ev.Target
+		}
+		return predict.Prediction{Taken: false, Hit: false}
 	}
-	s.buf.Delete(ev.PC)
+	p := predict.Prediction{Taken: true, Target: e.Target, Hit: true}
+	if ev.Taken {
+		e.Target = ev.Target
+	} else {
+		s.buf.Delete(ev.PC)
+	}
+	return p
 }
 
 // Reset implements predict.Predictor.
@@ -281,20 +294,27 @@ func (c *CBTB) Predict(ev vm.BranchEvent) predict.Prediction {
 }
 
 // Update implements predict.Predictor.
-func (c *CBTB) Update(ev vm.BranchEvent) {
+func (c *CBTB) Update(ev vm.BranchEvent) { c.Step(ev) }
+
+// Step implements predict.Stepper: one lookup serves the prediction and
+// the update. A missing branch gets an entry, its counter at the threshold
+// when taken and just below it otherwise.
+func (c *CBTB) Step(ev vm.BranchEvent) predict.Prediction {
 	e, ok := c.buf.Lookup(ev.PC)
 	if !ok {
 		e = c.buf.Insert(ev.PC)
 		e.Target = -1
 		if ev.Taken {
 			e.Counter = c.threshold
+			e.Target = ev.Target
 		} else if c.threshold > 0 {
 			e.Counter = c.threshold - 1
 		}
-		if ev.Taken {
-			e.Target = ev.Target
-		}
-		return
+		return predict.Prediction{Taken: false, Hit: false}
+	}
+	p := predict.Prediction{Taken: false, Hit: true}
+	if e.Counter >= c.threshold {
+		p = predict.Prediction{Taken: true, Target: e.Target, Hit: true}
 	}
 	if ev.Taken {
 		if e.Counter < c.max {
@@ -304,6 +324,7 @@ func (c *CBTB) Update(ev vm.BranchEvent) {
 	} else if e.Counter > 0 {
 		e.Counter--
 	}
+	return p
 }
 
 // Reset implements predict.Predictor.

@@ -69,26 +69,52 @@ func (t *TwoLevel) decide(e *Entry) predict.Prediction {
 
 // Predict implements predict.Predictor.
 func (t *TwoLevel) Predict(ev vm.BranchEvent) predict.Prediction {
-	if e, ok := t.l1.Lookup(ev.PC); ok {
+	p, _ := t.predict(ev.PC)
+	return p
+}
+
+// predict answers from L1, promoting from L2 on an L1 miss, and returns
+// the L1 entry it answered from (nil on a miss in both levels).
+func (t *TwoLevel) predict(pc int32) (predict.Prediction, *Entry) {
+	if e, ok := t.l1.Lookup(pc); ok {
 		t.l1Hits++
-		return t.decide(e)
+		return t.decide(e), e
 	}
-	if e2, ok := t.l2.Lookup(ev.PC); ok {
+	if e2, ok := t.l2.Lookup(pc); ok {
 		t.l2Hits++
 		t.promotions++
-		e1 := t.l1.Insert(ev.PC)
+		e1 := t.l1.Insert(pc)
 		e1.Target, e1.Counter = e2.Target, e2.Counter
-		return t.decide(e1)
+		return t.decide(e1), e1
 	}
 	t.l2Misses++
-	return predict.Prediction{Taken: false, Hit: false}
+	return predict.Prediction{Taken: false, Hit: false}, nil
 }
 
 // Update implements predict.Predictor.
 func (t *TwoLevel) Update(ev vm.BranchEvent) {
+	e2 := t.learn(ev)
+	if e1, ok := t.l1.Lookup(ev.PC); ok {
+		e1.Target, e1.Counter = e2.Target, e2.Counter
+	}
+}
+
+// Step implements predict.Stepper: the L1 entry the prediction came from
+// (promoted or hit) is the one Update would find and sync.
+func (t *TwoLevel) Step(ev vm.BranchEvent) predict.Prediction {
+	p, e1 := t.predict(ev.PC)
+	e2 := t.learn(ev)
+	if e1 != nil {
+		e1.Target, e1.Counter = e2.Target, e2.Counter
+	}
+	return p
+}
+
+// learn applies ev's outcome to the master copy in L2, allocating it with
+// CBTB's initialization on first sight, and returns it.
+func (t *TwoLevel) learn(ev vm.BranchEvent) *Entry {
 	e2, ok := t.l2.Lookup(ev.PC)
 	if !ok {
-		// First sight: allocate the master copy with CBTB's initialization.
 		e2 = t.l2.Insert(ev.PC)
 		e2.Target = -1
 		if ev.Taken {
@@ -105,9 +131,7 @@ func (t *TwoLevel) Update(ev vm.BranchEvent) {
 	} else if e2.Counter > 0 {
 		e2.Counter--
 	}
-	if e1, ok := t.l1.Lookup(ev.PC); ok {
-		e1.Target, e1.Counter = e2.Target, e2.Counter
-	}
+	return e2
 }
 
 // Reset implements predict.Predictor.

@@ -22,7 +22,8 @@ type SensitivityRow struct {
 // distribution) and measures how much the headline accuracies move — the
 // robustness check a reviewer would ask of the paper: do the conclusions
 // depend on the particular inputs profiled? Draws evaluate like CrossVal's
-// halves, under the suite's configuration without its corpus.
+// halves, under the suite's configuration without its corpus, and score
+// only the two schemes the table reads.
 func Sensitivity(s *Suite, names []string, suites int) ([]SensitivityRow, *stats.Table, error) {
 	if suites < 2 {
 		suites = 2
@@ -31,6 +32,7 @@ func Sensitivity(s *Suite, names []string, suites int) ([]SensitivityRow, *stats
 		fmt.Sprintf("Extension: input-suite sensitivity (%d independent suites per benchmark)", suites),
 		"Benchmark", "A_FS per suite", "spread", "A_CBTB per suite", "spread")
 	cfg := s.ownInputsConfig()
+	cfg.Schemes = []string{"cbtb", "fs"}
 	var rows []SensitivityRow
 	for _, name := range names {
 		b, err := s.lookup(name)
@@ -53,8 +55,12 @@ func Sensitivity(s *Suite, names []string, suites int) ([]SensitivityRow, *stats
 			if err != nil {
 				return nil, nil, err
 			}
-			r.AFS = append(r.AFS, e.FS().Stats.Accuracy())
-			r.ACBTB = append(r.ACBTB, e.CBTB().Stats.Accuracy())
+			res, err := e.Scored(cfg.Schemes...)
+			if err != nil {
+				return nil, nil, err
+			}
+			r.ACBTB = append(r.ACBTB, res[0].Stats.Accuracy())
+			r.AFS = append(r.AFS, res[1].Stats.Accuracy())
 		}
 		r.SpreadFS = spread(r.AFS)
 		r.SpreadCB = spread(r.ACBTB)

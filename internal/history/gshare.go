@@ -52,30 +52,24 @@ func (g *GShare) Name() string { return "gshare" }
 // Predict implements predict.Predictor.
 func (g *GShare) Predict(ev vm.BranchEvent) predict.Prediction {
 	target, hit := g.cache.lookup(ev.PC)
-	taken := true
-	if ev.Op.IsCondBranch() {
-		taken = g.ctr[g.index(ev.PC)] >= g.threshold
-	}
-	if taken {
-		return predict.Prediction{Taken: true, Target: target, Hit: hit}
-	}
-	return predict.Prediction{Taken: false, Hit: hit}
+	return prediction(!ev.Op.IsCondBranch() || g.ctr[g.index(ev.PC)] >= g.threshold, target, hit)
 }
 
 // Update implements predict.Predictor.
-func (g *GShare) Update(ev vm.BranchEvent) {
+func (g *GShare) Update(ev vm.BranchEvent) { g.Step(ev) }
+
+// Step implements predict.Stepper: one target-cache lookup, and one counter
+// read that the outcome then trains.
+func (g *GShare) Step(ev vm.BranchEvent) predict.Prediction {
+	target, hit := g.cache.step(ev)
+	taken := true
 	if ev.Op.IsCondBranch() {
 		c := &g.ctr[g.index(ev.PC)]
-		if ev.Taken {
-			if *c < g.max {
-				*c++
-			}
-		} else if *c > 0 {
-			*c--
-		}
+		taken = *c >= g.threshold
+		bump(c, ev.Taken, g.max)
 		g.hist = pushBit(g.hist, ev.Taken)
 	}
-	g.cache.update(ev)
+	return prediction(taken, target, hit)
 }
 
 // Reset implements predict.Predictor.

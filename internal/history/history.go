@@ -16,6 +16,7 @@ package history
 
 import (
 	"branchcost/internal/btb"
+	"branchcost/internal/predict"
 	"branchcost/internal/vm"
 )
 
@@ -43,16 +44,21 @@ func (t targetCache) lookup(pc int32) (int32, bool) {
 	return -1, false
 }
 
-// update allocates on first sight and caches the target of taken branches.
-func (t targetCache) update(ev vm.BranchEvent) {
+// step is lookup and then the update for ev, on one lookup: it allocates
+// on first sight and caches the target of taken branches.
+func (t targetCache) step(ev vm.BranchEvent) (int32, bool) {
 	e, ok := t.buf.Lookup(ev.PC)
-	if !ok {
+	target := int32(-1)
+	if ok {
+		target = e.Target
+	} else {
 		e = t.buf.Insert(ev.PC)
 		e.Target = -1
 	}
 	if ev.Taken {
 		e.Target = ev.Target
 	}
+	return target, ok
 }
 
 func (t targetCache) reset() { t.buf.Reset() }
@@ -78,8 +84,25 @@ func mustValidate(c interface{ Validate() error }) {
 	}
 }
 
-// histBit reports bit j (0 = newest) of a global history register.
-func histBit(hist uint32, j int) bool { return (hist>>uint(j))&1 == 1 }
+// prediction is the answer of a direction predictor backed by the target
+// cache: a taken prediction goes to the cached target (-1 when none).
+func prediction(taken bool, target int32, hit bool) predict.Prediction {
+	if taken {
+		return predict.Prediction{Taken: true, Target: target, Hit: hit}
+	}
+	return predict.Prediction{Taken: false, Hit: hit}
+}
+
+// bump moves a saturating counter one step toward the outcome.
+func bump(c *uint8, taken bool, max uint8) {
+	if taken {
+		if *c < max {
+			*c++
+		}
+	} else if *c > 0 {
+		*c--
+	}
+}
 
 // pushBit shifts outcome b into a history register (bit 0 = newest).
 func pushBit(hist uint32, taken bool) uint32 {

@@ -57,31 +57,25 @@ func (l *Local) Name() string { return "local" }
 // Predict implements predict.Predictor.
 func (l *Local) Predict(ev vm.BranchEvent) predict.Prediction {
 	target, hit := l.cache.lookup(ev.PC)
-	taken := true
-	if ev.Op.IsCondBranch() {
-		taken = l.pht[l.index(ev.PC)] >= l.threshold
-	}
-	if taken {
-		return predict.Prediction{Taken: true, Target: target, Hit: hit}
-	}
-	return predict.Prediction{Taken: false, Hit: hit}
+	return prediction(!ev.Op.IsCondBranch() || l.pht[l.index(ev.PC)] >= l.threshold, target, hit)
 }
 
 // Update implements predict.Predictor.
-func (l *Local) Update(ev vm.BranchEvent) {
+func (l *Local) Update(ev vm.BranchEvent) { l.Step(ev) }
+
+// Step implements predict.Stepper: one target-cache lookup, and one
+// history and counter read that the outcome then trains.
+func (l *Local) Step(ev vm.BranchEvent) predict.Prediction {
+	target, hit := l.cache.step(ev)
+	taken := true
 	if ev.Op.IsCondBranch() {
-		c := &l.pht[l.index(ev.PC)]
-		if ev.Taken {
-			if *c < l.max {
-				*c++
-			}
-		} else if *c > 0 {
-			*c--
-		}
-		s := l.site(ev.PC)
-		l.bht[s] = pushBit(l.bht[s], ev.Taken)
+		h := &l.bht[l.site(ev.PC)]
+		c := &l.pht[*h&l.hmask&l.tmask]
+		taken = *c >= l.threshold
+		bump(c, ev.Taken, l.max)
+		*h = pushBit(*h, ev.Taken)
 	}
-	l.cache.update(ev)
+	return prediction(taken, target, hit)
 }
 
 // Reset implements predict.Predictor.

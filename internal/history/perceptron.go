@@ -53,18 +53,16 @@ func Theta(histLen int) int32 {
 	return int32((193*histLen + 1400) / 100)
 }
 
-// output computes the dot product of the row's weights with the history
-// (bit j of hist = outcome of the j+1-th most recent conditional branch,
-// mapped to ±1).
-func (p *Perceptron) output(pc int32) int32 {
-	row := p.w[uint32(pc)&p.tmask]
-	y := row[0]
-	for i := 1; i <= p.histLen; i++ {
-		if histBit(p.hist, i-1) {
-			y += row[i]
-		} else {
-			y -= row[i]
-		}
+// output computes the dot product of row's weights with the history (bit j
+// of hist = outcome of the j+1-th most recent conditional branch, mapped to
+// ±1), without a branch per bit: s is 0 for a set bit and -1 for a clear
+// one, and (w^s)-s is then w or -w.
+func (p *Perceptron) output(row []int32) int32 {
+	y, h := row[0], p.hist
+	for _, w := range row[1:] {
+		s := int32(h&1) - 1
+		y += (w ^ s) - s
+		h >>= 1
 	}
 	return y
 }
@@ -72,17 +70,12 @@ func (p *Perceptron) output(pc int32) int32 {
 // Name implements predict.Predictor.
 func (p *Perceptron) Name() string { return "perceptron" }
 
+func (p *Perceptron) row(pc int32) []int32 { return p.w[uint32(pc)&p.tmask] }
+
 // Predict implements predict.Predictor.
 func (p *Perceptron) Predict(ev vm.BranchEvent) predict.Prediction {
 	target, hit := p.cache.lookup(ev.PC)
-	taken := true
-	if ev.Op.IsCondBranch() {
-		taken = p.output(ev.PC) >= 0
-	}
-	if taken {
-		return predict.Prediction{Taken: true, Target: target, Hit: hit}
-	}
-	return predict.Prediction{Taken: false, Hit: hit}
+	return prediction(!ev.Op.IsCondBranch() || p.output(p.row(ev.PC)) >= 0, target, hit)
 }
 
 func (p *Perceptron) clamp(v int32) int32 {
@@ -95,35 +88,40 @@ func (p *Perceptron) clamp(v int32) int32 {
 	return v
 }
 
-// Update implements predict.Predictor. The history is unchanged between
-// Predict and Update, so recomputing the output here sees the same value
-// the prediction used.
-func (p *Perceptron) Update(ev vm.BranchEvent) {
+// Update implements predict.Predictor.
+func (p *Perceptron) Update(ev vm.BranchEvent) { p.Step(ev) }
+
+// Step implements predict.Stepper: one target-cache lookup, and one dot
+// product that both predicts and decides whether to train.
+func (p *Perceptron) Step(ev vm.BranchEvent) predict.Prediction {
+	target, hit := p.cache.step(ev)
+	taken := true
 	if ev.Op.IsCondBranch() {
-		y := p.output(ev.PC)
-		pred := y >= 0
+		row := p.row(ev.PC)
+		y := p.output(row)
+		taken = y >= 0
 		mag := y
 		if mag < 0 {
 			mag = -mag
 		}
-		if pred != ev.Taken || mag <= p.theta {
-			row := p.w[uint32(ev.PC)&p.tmask]
+		if taken != ev.Taken || mag <= p.theta {
+			// Move every weight by t toward the outcome, signed by its
+			// history bit as output signs it.
 			t := int32(-1)
 			if ev.Taken {
 				t = 1
 			}
 			row[0] = p.clamp(row[0] + t)
-			for i := 1; i <= p.histLen; i++ {
-				x := int32(-1)
-				if histBit(p.hist, i-1) {
-					x = 1
-				}
-				row[i] = p.clamp(row[i] + t*x)
+			h := p.hist
+			for i := 1; i < len(row); i++ {
+				s := int32(h&1) - 1
+				row[i] = p.clamp(row[i] + (t ^ s) - s)
+				h >>= 1
 			}
 		}
 		p.hist = pushBit(p.hist, ev.Taken)
 	}
-	p.cache.update(ev)
+	return prediction(taken, target, hit)
 }
 
 // Reset implements predict.Predictor.

@@ -39,12 +39,39 @@ type TAGE struct {
 	foldIdx  []uint32 // folded history at index width (tableLog)
 	foldTag1 []uint32 // folded history at tag width (tagBits)
 	foldTag2 []uint32 // folded history at tagBits-1, doubled into the tag
+	folds    []tageFolds
 
 	// Per-branch scratch filled by scan; valid until the next scan.
 	idxS []uint32
 	tagS []uint32
 
 	cache targetCache
+}
+
+// tageFolds holds what push needs of one table, fixed by its history
+// length: the position of the bit leaving the window and the three folds.
+type tageFolds struct {
+	oldest          uint // L-1
+	idx, tag1, tag2 folder
+}
+
+// folder folds a history window of length L into a w-bit register: the
+// window's oldest bit sits at position (L-1) mod w.
+type folder struct {
+	oldestAt, top uint // (L-1) mod w, and w-1
+	mask          uint32
+}
+
+func newFolder(L, w int) folder {
+	return folder{oldestAt: uint((L - 1) % w), top: uint(w - 1), mask: lowMask(w)}
+}
+
+// step advances register f: remove the evicted oldest bit, rotate every
+// surviving bit one position up, insert the new bit b at position 0.
+func (fo folder) step(f, evict, b uint32) uint32 {
+	f ^= evict << fo.oldestAt
+	f = ((f << 1) | (f >> fo.top)) & fo.mask
+	return f ^ b
 }
 
 type tageEntry struct {
@@ -112,6 +139,15 @@ func NewTAGE(nTables, baseLog, tableLog, tagBits, minHist, maxHist, bits, uBits 
 	for i := range t.base {
 		t.base[i] = t.threshold - 1 // weakly not-taken
 	}
+	t.folds = make([]tageFolds, nTables)
+	for i, L := range t.lens {
+		t.folds[i] = tageFolds{
+			oldest: uint(L - 1),
+			idx:    newFolder(L, tableLog),
+			tag1:   newFolder(L, tagBits),
+			tag2:   newFolder(L, tagBits-1),
+		}
+	}
 	return t
 }
 
@@ -145,7 +181,12 @@ func (t *TAGE) scan(pc int32) (provider, alt int) {
 	return provider, alt
 }
 
-func (t *TAGE) basePred(pc int32) bool {
+// dir is the direction table i predicts for pc after a scan, and the base
+// table's when i is -1.
+func (t *TAGE) dir(i int, pc int32) bool {
+	if i >= 0 {
+		return t.tables[i][t.idxS[i]].ctr >= t.threshold
+	}
 	return t.base[uint32(pc)&t.bmask] >= t.threshold
 }
 
@@ -158,60 +199,43 @@ func (t *TAGE) Predict(ev vm.BranchEvent) predict.Prediction {
 	taken := true
 	if ev.Op.IsCondBranch() {
 		provider, _ := t.scan(ev.PC)
-		if provider >= 0 {
-			taken = t.tables[provider][t.idxS[provider]].ctr >= t.threshold
-		} else {
-			taken = t.basePred(ev.PC)
-		}
+		taken = t.dir(provider, ev.PC)
 	}
-	if taken {
-		return predict.Prediction{Taken: true, Target: target, Hit: hit}
-	}
-	return predict.Prediction{Taken: false, Hit: hit}
+	return prediction(taken, target, hit)
 }
 
-// train applies the TAGE update rule for one conditional outcome: provider
-// counter update, usefulness update when provider and alternate disagree,
-// and allocation into a longer table on a misprediction.
-func (t *TAGE) train(pc int32, taken bool) {
-	provider, alt := t.scan(pc)
-	var altPred bool
-	if alt >= 0 {
-		altPred = t.tables[alt][t.idxS[alt]].ctr >= t.threshold
-	} else {
-		altPred = t.basePred(pc)
+// Update implements predict.Predictor.
+func (t *TAGE) Update(ev vm.BranchEvent) { t.Step(ev) }
+
+// Step implements predict.Stepper: one target-cache lookup and one scan of
+// the tagged tables, which both predicts and trains.
+func (t *TAGE) Step(ev vm.BranchEvent) predict.Prediction {
+	target, hit := t.cache.step(ev)
+	taken := true
+	if ev.Op.IsCondBranch() {
+		taken = t.train(ev.PC, ev.Taken)
+		t.push(ev.Taken)
 	}
-	var pred bool
+	return prediction(taken, target, hit)
+}
+
+// train scans the tables for pc and applies the TAGE update rule for one
+// conditional outcome: provider counter update, usefulness update when
+// provider and alternate disagree, and allocation into a longer table on a
+// misprediction. It returns the prediction the scan made, as Predict would.
+func (t *TAGE) train(pc int32, taken bool) bool {
+	provider, alt := t.scan(pc)
+	altPred := t.dir(alt, pc)
+	pred := t.dir(provider, pc)
 	if provider >= 0 {
 		e := &t.tables[provider][t.idxS[provider]]
-		pred = e.ctr >= t.threshold
-		if taken {
-			if e.ctr < t.max {
-				e.ctr++
-			}
-		} else if e.ctr > 0 {
-			e.ctr--
-		}
+		bump(&e.ctr, taken, t.max)
 		// Usefulness tracks only decisions where the provider mattered.
 		if pred != altPred {
-			if pred == taken {
-				if e.u < t.umax {
-					e.u++
-				}
-			} else if e.u > 0 {
-				e.u--
-			}
+			bump(&e.u, pred == taken, t.umax)
 		}
 	} else {
-		pred = altPred
-		c := &t.base[uint32(pc)&t.bmask]
-		if taken {
-			if *c < t.max {
-				*c++
-			}
-		} else if *c > 0 {
-			*c--
-		}
+		bump(&t.base[uint32(pc)&t.bmask], taken, t.max)
 	}
 	if pred != taken && provider < t.nTables-1 {
 		// Mispredicted: allocate in the first longer table whose victim is
@@ -240,16 +264,7 @@ func (t *TAGE) train(pc int32, taken bool) {
 			}
 		}
 	}
-}
-
-// foldStep advances one folded-history register of width w over a window of
-// length L: remove the evicted oldest bit, rotate every surviving bit one
-// position up, insert the new bit at position 0.
-func foldStep(f, evict, b uint32, L, w int) uint32 {
-	mask := lowMask(w)
-	f ^= evict << (uint(L-1) % uint(w))
-	f = ((f << 1) | (f >> uint(w-1))) & mask
-	return f ^ b
+	return pred
 }
 
 // push shifts one conditional outcome into the global history, updating
@@ -259,25 +274,14 @@ func (t *TAGE) push(taken bool) {
 	if taken {
 		b = 1
 	}
-	for i := 0; i < t.nTables; i++ {
-		L := t.lens[i]
-		evict := uint32(t.hist>>uint(L-1)) & 1
-		t.foldIdx[i] = foldStep(t.foldIdx[i], evict, b, L, t.tableLog)
-		t.foldTag1[i] = foldStep(t.foldTag1[i], evict, b, L, t.tagBits)
-		t.foldTag2[i] = foldStep(t.foldTag2[i], evict, b, L, t.tagBits-1)
+	for i, fo := range t.folds {
+		evict := uint32(t.hist>>fo.oldest) & 1
+		t.foldIdx[i] = fo.idx.step(t.foldIdx[i], evict, b)
+		t.foldTag1[i] = fo.tag1.step(t.foldTag1[i], evict, b)
+		t.foldTag2[i] = fo.tag2.step(t.foldTag2[i], evict, b)
 	}
 	t.hist <<= 1
 	t.hist |= uint64(b)
-}
-
-// Update implements predict.Predictor. The history is unchanged between
-// Predict and Update, so the rescan sees the prediction's indices.
-func (t *TAGE) Update(ev vm.BranchEvent) {
-	if ev.Op.IsCondBranch() {
-		t.train(ev.PC, ev.Taken)
-		t.push(ev.Taken)
-	}
-	t.cache.update(ev)
 }
 
 // Reset implements predict.Predictor.

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 
 	"branchcost/internal/attr"
@@ -43,7 +44,9 @@ func agree(a, b predict.Prediction) bool {
 // first disagreement and accumulating independently-counted statistics. The
 // counting here deliberately re-implements predict.Evaluator's correctness
 // rule from its specification, so the evaluator itself is inside the
-// differential net (VerifyTrace cross-checks the two counts).
+// differential net (VerifyTrace cross-checks the two counts). A scheme that
+// is a predict.Stepper is driven through Step, as the evaluator drives it,
+// so the one-call path is checked against the twin's Predict and Update.
 type lockstep struct {
 	name   string
 	scheme predict.Predictor
@@ -57,7 +60,13 @@ func (ls *lockstep) observe(ev vm.BranchEvent) {
 	if !ev.Op.IsBranch() {
 		return
 	}
-	got := ls.scheme.Predict(ev)
+	var got predict.Prediction
+	st, step := ls.scheme.(predict.Stepper)
+	if step {
+		got = st.Step(ev)
+	} else {
+		got = ls.scheme.Predict(ev)
+	}
 	want := ls.oracle.Predict(ev)
 	if ls.div == nil && !agree(got, want) {
 		ls.div = &Divergence{Scheme: ls.name, Step: ls.step, Event: ev, Got: got, Want: want}
@@ -82,7 +91,9 @@ func (ls *lockstep) observe(ev vm.BranchEvent) {
 			ls.stats.CondCorrect++
 		}
 	}
-	ls.scheme.Update(ev)
+	if !step {
+		ls.scheme.Update(ev)
+	}
 	ls.oracle.Update(ev)
 	ls.step++
 }
@@ -168,18 +179,28 @@ func verifyScheme(name string, tr *tracefile.Trace, configs predict.ConfigSet) V
 		return v
 	}
 	// Cross-check the production evaluator's counting against the naive
-	// count above: same trace, fresh predictor, must agree bit for bit. The
-	// attached attribution recorder rides the same pass, so the per-site /
-	// per-window decomposition is verified against both independent counts:
-	// sites plus overflow must sum exactly to the aggregate Stats.
+	// count above: same trace, fresh predictors, scored the way core scores
+	// them, must agree bit for bit. One evaluator carries an attribution
+	// recorder, so it replays event by event, and the per-site / per-window
+	// decomposition is verified against both independent counts: sites plus
+	// overflow must sum exactly to the aggregate Stats. The other has no
+	// observer, so a stateless scheme scores from the trace's histogram.
 	rec := attr.NewRecorder(attr.Options{})
-	e := &predict.Evaluator{P: sc.New(predict.SchemeContext{Configs: configs}), Obs: rec}
-	tr.Replay(e.Observe)
-	if e.S != stats {
-		v.Err = fmt.Errorf(
-			"oracle: scheme %q: predict.Evaluator counted %+v, oracle counted %+v",
-			name, e.S, stats)
+	evs := []*predict.Evaluator{
+		{P: sc.New(predict.SchemeContext{Configs: configs}), Obs: rec},
+		{P: sc.New(predict.SchemeContext{Configs: configs})},
+	}
+	if err := tracefile.Score(context.Background(), tr, evs); err != nil {
+		v.Err = fmt.Errorf("oracle: scheme %q: %w", name, err)
 		return v
+	}
+	for _, e := range evs {
+		if e.S != stats {
+			v.Err = fmt.Errorf(
+				"oracle: scheme %q: predict.Evaluator counted %+v, oracle counted %+v",
+				name, e.S, stats)
+			return v
+		}
 	}
 	if err := rec.Check(stats); err != nil {
 		v.Err = fmt.Errorf("oracle: scheme %q: %w", name, err)

@@ -7,6 +7,23 @@
 // fetched down the right path: the predicted direction must match the
 // outcome, and for predicted-taken branches the predicted target must match
 // the actual target. Predicting "not taken" needs no target.
+//
+// Every scheme implements Predictor, and that is all a scheme must
+// implement. Two optional interfaces let the evaluator score a registered
+// scheme at the cost of its own work:
+//
+//   - Stepper: Step(ev) returns exactly what Predict(ev) would and leaves
+//     the predictor in exactly the state Update(ev) would after it, so the
+//     evaluator calls it in place of the two calls. A stateful predictor
+//     implements it to look each structure up once per branch.
+//   - Stateless: Update and Reset do nothing, and Predict reads only the
+//     event's static site (PC, ID, Op, Likely). The verdict on an event then
+//     depends only on its site, direction and target, so a trace's Stats
+//     follow from how often each distinct event occurs; the replay engine
+//     scores such a predictor from those counts (Evaluator.ObserveCounts)
+//     instead of replaying the trace.
+//
+// A predictor with neither keeps the two-call path, with the same Stats.
 package predict
 
 import (
@@ -31,6 +48,24 @@ type Predictor interface {
 	Update(ev vm.BranchEvent)
 	// Reset clears all dynamic state (used by the context-switch ablation).
 	Reset()
+}
+
+// Stepper is optionally implemented by predictors that predict a branch and
+// learn its outcome in one call. Step(ev) must return exactly what
+// Predict(ev) returns and leave exactly the state Update(ev) leaves after
+// it; the evaluator then calls Step instead of the pair.
+type Stepper interface {
+	Step(ev vm.BranchEvent) Prediction
+}
+
+// Stateless is implemented by predictors whose Update and Reset do nothing
+// and whose Predict reads only the event's static site (PC, ID, Op and
+// Likely, never Taken or Target). Such a predictor scores a trace from its
+// event histogram as it would event by event (see Evaluator.ObserveCounts).
+// The marker method has no behaviour.
+type Stateless interface {
+	Predictor
+	Stateless()
 }
 
 // MetricSource is optionally implemented by predictors that expose internal
@@ -83,6 +118,35 @@ func (s Stats) CondAccuracy() float64 {
 		return 1
 	}
 	return float64(s.CondCorrect) / float64(s.CondBranches)
+}
+
+// add scores n branch events equal to ev, each predicted p, into s: the
+// one verdict of the evaluator, per event and per count alike. It returns
+// whether the predicted direction matched and whether the prediction was
+// fully correct (direction and, if taken, target).
+func (s *Stats) add(ev vm.BranchEvent, p Prediction, n int64) (dirRight, correct bool) {
+	s.Branches += n
+	cond := ev.Op.IsCondBranch()
+	if cond {
+		s.CondBranches += n
+	}
+	if p.Hit {
+		s.Hits += n
+	} else {
+		s.Misses += n
+	}
+	dirRight = p.Taken == ev.Taken
+	correct = dirRight && (!p.Taken || p.Target == ev.Target)
+	if dirRight {
+		s.DirRight += n
+	}
+	if correct {
+		s.Correct += n
+		if cond {
+			s.CondCorrect += n
+		}
+	}
+	return dirRight, correct
 }
 
 // Add merges other into s.
@@ -158,8 +222,9 @@ func (e *Evaluator) ObserveBlock(evs []vm.BranchEvent) {
 	}
 }
 
-// Observe scores one branch event. Non-branch control events (CALL) pass
-// through unscored.
+// Observe scores one branch event, through Step when the predictor is a
+// Stepper and through Predict and Update otherwise. Non-branch control
+// events (CALL) pass through unscored.
 func (e *Evaluator) Observe(ev vm.BranchEvent) {
 	if !ev.Op.IsBranch() {
 		return
@@ -171,29 +236,14 @@ func (e *Evaluator) Observe(ev vm.BranchEvent) {
 		}
 		e.sinceFlush++
 	}
-	p := e.P.Predict(ev)
-	e.S.Branches++
-	cond := ev.Op.IsCondBranch()
-	if cond {
-		e.S.CondBranches++
-	}
-	if p.Hit {
-		e.S.Hits++
+	var p Prediction
+	if st, ok := e.P.(Stepper); ok {
+		p = st.Step(ev)
 	} else {
-		e.S.Misses++
+		p = e.P.Predict(ev)
+		e.P.Update(ev)
 	}
-	dirRight := p.Taken == ev.Taken
-	correct := dirRight && (!p.Taken || p.Target == ev.Target)
-	if dirRight {
-		e.S.DirRight++
-	}
-	if correct {
-		e.S.Correct++
-		if cond {
-			e.S.CondCorrect++
-		}
-	}
-	e.P.Update(ev)
+	dirRight, correct := e.S.add(ev, p, 1)
 	if e.Obs != nil {
 		e.Obs.ObserveEvent(ev, Outcome{
 			Index:    e.S.Branches - 1,
@@ -201,5 +251,25 @@ func (e *Evaluator) Observe(ev vm.BranchEvent) {
 			DirRight: dirRight,
 			Correct:  correct,
 		})
+	}
+}
+
+// Countable reports whether the evaluator may score a stream from its event
+// histogram: its predictor is Stateless and no Observer watches the events
+// in order. It makes the evaluator a tracefile.CountSink.
+func (e *Evaluator) Countable() bool {
+	_, ok := e.P.(Stateless)
+	return ok && e.Obs == nil
+}
+
+// ObserveCounts scores counts[i] events equal to evs[i], for every i. For a
+// Countable evaluator the Stats equal those of observing the same events
+// one by one, in any order; FlushEvery changes nothing, since a stateless
+// predictor's Reset does nothing.
+func (e *Evaluator) ObserveCounts(evs []vm.BranchEvent, counts []int64) {
+	for i, ev := range evs {
+		if ev.Op.IsBranch() {
+			e.S.add(ev, e.P.Predict(ev), counts[i])
+		}
 	}
 }

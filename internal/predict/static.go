@@ -12,11 +12,15 @@ import (
 // paper describes. Direct jumps are predicted perfectly by every scheme that
 // predicts taken, because their target is in the instruction.
 
-// staticBase implements the shared plumbing of stateless predictors.
+// staticBase implements the shared plumbing of stateless predictors: each
+// static baseline predicts from the branch's site alone, so it is Stateless.
 type staticBase struct{}
 
 func (staticBase) Update(vm.BranchEvent) {}
 func (staticBase) Reset()                {}
+
+// Stateless implements Stateless.
+func (staticBase) Stateless() {}
 
 // TargetResolver supplies a static predictor with the statically-known
 // taken target of the branch at pc (-1 when no target is encodable, as for

@@ -7,9 +7,12 @@ package tracefile
 // Bookkeeping is per block, not per event: the "tracefile.replay.events"
 // counter takes one add per block, and the cancellation check and the
 // "tracefile.replay.latency_ns" histogram run once per ctxCheckEvery-event
-// chunk, so no atomic and no clock read sits on the per-event path.
+// chunk, so no atomic and no clock read sits on the per-event path. A sink
+// Score scores from the trace's event histogram instead (see CountSink)
+// still adds the trace's events to the counter, in one add.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"io"
@@ -32,6 +35,19 @@ type BlockSink interface {
 	ObserveBlock(evs []vm.BranchEvent)
 }
 
+// CountSink is a BlockSink that Score may feed the trace's event histogram
+// instead of its blocks: when Countable reports true, the sink's result
+// depends only on how often each distinct event occurs, not on their order,
+// and Score calls ObserveCounts once in place of every ObserveBlock.
+// predict.Evaluator implements it for stateless predictors.
+type CountSink interface {
+	BlockSink
+	Countable() bool
+	// ObserveCounts takes every distinct event of the trace, evs[i]
+	// occurring counts[i] times. Both slices are valid only during the call.
+	ObserveCounts(evs []vm.BranchEvent, counts []int64)
+}
+
 const (
 	// blockLen is the engine's block size: an expanded block (20 bytes per
 	// event) stays cache-resident while its sinks consume it, and the
@@ -45,17 +61,91 @@ const (
 	ctxCheckEvery = 1 << 16
 )
 
-// Score replays the trace through every sink. Each block is expanded once
-// and fed to the sinks on min(GOMAXPROCS, len(sinks)) goroutines, the
-// caller's among them, each claiming the next sink not yet fed; the next
-// block starts when every sink is done with this one, so a sink is only
-// ever touched by one goroutine at a time and needs no locking. When ctx is
-// cancelled the replay stops within ctxCheckEvery events and returns the
-// context's error; the sinks' partial state is then meaningless. A sink's
-// panic re-raises on the calling goroutine once every goroutine has
-// stopped, so a recover around Score fences it.
+// Score scores the trace into every sink. A CountSink that is Countable
+// gets the trace's event histogram, built once for all of them; every other
+// sink gets the replay, which runs only when there is one. Each block is
+// expanded once and fed to the replayed sinks on min(GOMAXPROCS, sinks)
+// goroutines, the caller's among them, each claiming the next sink not yet
+// fed; the next block starts when every sink is done with this one, so a
+// sink is only ever touched by one goroutine at a time and needs no
+// locking. When ctx is cancelled the replay stops within ctxCheckEvery
+// events and returns the context's error; the sinks' partial state is then
+// meaningless. A sink's panic re-raises on the calling goroutine once every
+// goroutine has stopped, so a recover around Score fences it.
 func Score[S BlockSink](ctx context.Context, t *Trace, sinks []S) error {
-	return drive(ctx, &cursor{table: expansions(nil, t.sites), stream: t.stream}, asSinks(sinks))
+	var counted []CountSink
+	replayed := make([]BlockSink, 0, len(sinks))
+	for _, s := range sinks {
+		if c, ok := any(s).(CountSink); ok && c.Countable() {
+			counted = append(counted, c)
+		} else {
+			replayed = append(replayed, s)
+		}
+	}
+	if len(counted) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		evs, counts := t.histogram()
+		for _, c := range counted {
+			c.ObserveCounts(evs, counts)
+		}
+		telemetry.FromContext(ctx).Counter("tracefile.replay.events").Add(int64(t.events * len(counted)))
+	}
+	if len(replayed) == 0 {
+		return ctx.Err()
+	}
+	return drive(ctx, &cursor{table: expansions(nil, t.sites), stream: t.stream}, replayed)
+}
+
+// histogram returns every distinct event of the trace with the number of
+// times it occurs: one entry per site and direction recorded, and for an
+// indirect jump one per target, in site order (targets ascending).
+func (t *Trace) histogram() ([]vm.BranchEvent, []int64) {
+	type tally struct {
+		target uint32
+		n      int64
+	}
+	perWord := make([]int64, 2*len(t.sites))
+	var jumps [][]tally // by word, for indirect jumps: events per target
+	for pos := 0; pos < len(t.stream); pos++ {
+		w := t.stream[pos]
+		perWord[w]++
+		if t.sites[w>>1].op != isa.JMPI {
+			continue
+		}
+		pos++
+		if jumps == nil {
+			jumps = make([][]tally, len(perWord))
+		}
+		js, target := jumps[w], t.stream[pos]
+		i := 0
+		for i < len(js) && js[i].target != target {
+			i++
+		}
+		if i == len(js) {
+			jumps[w] = append(js, tally{target: target})
+		}
+		jumps[w][i].n++
+	}
+	var evs []vm.BranchEvent
+	var counts []int64
+	for w, ev := range expansions(nil, t.sites) {
+		if perWord[w] == 0 {
+			continue
+		}
+		if ev.Op != isa.JMPI {
+			evs, counts = append(evs, ev), append(counts, perWord[w])
+			continue
+		}
+		js := jumps[w]
+		slices.SortFunc(js, func(a, b tally) int { return cmp.Compare(a.target, b.target) })
+		for _, j := range js {
+			ev.Target = int32(j.target)
+			evs, counts = append(evs, ev), append(counts, j.n)
+		}
+	}
+	return evs, counts
 }
 
 func asSinks[S BlockSink](sinks []S) []BlockSink {

@@ -121,7 +121,8 @@ func RunContext(ctx context.Context, p *isa.Program, input []byte, hook BranchFu
 // every executed counted branch. The run's data memory comes zeroed from a
 // pool and returns to it when the run ends, however it ends: a suite's
 // hundreds of runs then reuse a few memories instead of faulting in and
-// clearing a fresh 8 MiB (at the default MemWords) each time.
+// clearing a fresh 8 MiB (at the default MemWords) each time. Only the
+// pages the run wrote are cleared on the way back.
 func Run(p *isa.Program, input []byte, hook BranchFunc, cfg Config) (Result, error) {
 	RunCount.Add(1)
 	cfg = cfg.withDefaults()
@@ -145,19 +146,22 @@ type Machine struct {
 	prog *isa.Program
 	cfg  Config
 
-	regs [isa.NumRegs]int64
-	mem  []int64
-	in   []byte
-	inAt int
-	out  []byte
+	regs  [isa.NumRegs]int64
+	mem   []int64
+	dirty []bool // by page (see pageShift): the run may have written it
+	in    []byte
+	inAt  int
+	out   []byte
 }
 
 func (m *Machine) run(input []byte, hook BranchFunc) (Result, error) {
 	p := m.prog
 	mem := getMem(m.cfg.MemWords)
-	defer memPool(len(*mem)).Put(mem)
-	m.mem = *mem
-	copy(m.mem, p.Data)
+	defer putMem(mem)
+	m.mem, m.dirty = mem.words, mem.dirty
+	for pg := range (copy(m.mem, p.Data) + pageWords - 1) >> pageShift {
+		m.dirty[pg] = true
+	}
 	m.in = input
 	m.regs[isa.SP] = int64(m.cfg.MemWords)
 
@@ -292,6 +296,7 @@ func (m *Machine) run(input []byte, hook BranchFunc) (Result, error) {
 				return m.result(steps, branches), &trapError{ErrMemRange, pos, steps}
 			}
 			m.mem[a] = r[in.Rt]
+			m.dirty[a>>pageShift] = true
 			pos++
 
 		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLE, isa.BGT:
@@ -378,8 +383,8 @@ func (m *Machine) run(input []byte, hook BranchFunc) (Result, error) {
 	}
 }
 
-// memPools holds one sync.Pool of data memories (*[]int64) per size in
-// words.
+// memPools holds one sync.Pool of data memories (*dataMem) per size in
+// words. A pooled memory is all zeros.
 var memPools sync.Map
 
 func memPool(words int) *sync.Pool {
@@ -390,15 +395,39 @@ func memPool(words int) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
+// pageShift sets the granularity at which a run's writes are tracked:
+// pages of 1<<pageShift words (4 KiB).
+const (
+	pageShift = 9
+	pageWords = 1 << pageShift
+)
+
+// dataMem is one run's data memory and the pages of it the run may have
+// written (loading the program's data, or ST).
+type dataMem struct {
+	words []int64
+	dirty []bool
+}
+
 // getMem returns a zeroed data memory of the given size, reusing a pooled
 // one when there is one.
-func getMem(words int) *[]int64 {
-	if mem, ok := memPool(words).Get().(*[]int64); ok {
-		clear(*mem)
+func getMem(words int) *dataMem {
+	if mem, ok := memPool(words).Get().(*dataMem); ok {
 		return mem
 	}
-	mem := make([]int64, words)
-	return &mem
+	return &dataMem{words: make([]int64, words), dirty: make([]bool, (words+pageWords-1)>>pageShift)}
+}
+
+// putMem clears the pages the run wrote and returns the memory to its pool,
+// at a cost in proportion to the pages written.
+func putMem(mem *dataMem) {
+	for pg, d := range mem.dirty {
+		if d {
+			clear(mem.words[pg<<pageShift : min((pg+1)<<pageShift, len(mem.words))])
+			mem.dirty[pg] = false
+		}
+	}
+	memPool(len(mem.words)).Put(mem)
 }
 
 func (m *Machine) result(steps, branches int64) Result {

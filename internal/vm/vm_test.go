@@ -543,3 +543,34 @@ func TestConcurrentRunsNeverShareMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestRunsNeverSeeScatteredStores: a run that writes only a few scattered
+// words — the first, the middle and the last of its memory, and both sides
+// of the 512-word (4 KiB) boundaries at 512 and 4096 — leaves none of them
+// behind for the next run, whichever of two memory sizes either run uses.
+func TestRunsNeverSeeScatteredStores(t *testing.T) {
+	const small, large = 8192, 12288
+	for _, w := range []int64{small, large} {
+		for _, r := range []int64{small, large} {
+			ins := []isa.Inst{{Op: isa.LDI, Rd: 5, Imm: 0x7e}}
+			for _, a := range []int64{0, 511, 512, 4095, 4096, w / 2, w - 1} {
+				ins = append(ins,
+					isa.Inst{Op: isa.LDI, Rd: 4, Imm: a},
+					isa.Inst{Op: isa.ST, Rs: 4, Rt: 5})
+			}
+			ins = append(ins, isa.Inst{Op: isa.HALT})
+			for i := 0; i < 3; i++ {
+				if _, err := vm.Run(prog(ins...), nil, nil, vm.Config{MemWords: int(w)}); err != nil {
+					t.Fatal(err)
+				}
+				res, err := vm.Run(orProg(r), nil, nil, vm.Config{MemWords: int(r)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(res.Output) != "\x00" {
+					t.Fatalf("%d-word run after a %d-word run: saw words %#x it wrote", r, w, res.Output)
+				}
+			}
+		}
+	}
+}
