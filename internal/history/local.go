@@ -47,9 +47,8 @@ func NewLocal(histLen, siteLog, tableLog, bits int, threshold uint8, targetEntri
 
 func (l *Local) site(pc int32) uint32 { return uint32(pc) & l.smask }
 
-func (l *Local) index(pc int32) uint32 {
-	return (l.bht[l.site(pc)] & l.hmask) & l.tmask
-}
+// index is the pattern-table slot a history register selects.
+func (l *Local) index(h uint32) uint32 { return h & l.hmask & l.tmask }
 
 // Name implements predict.Predictor.
 func (l *Local) Name() string { return "local" }
@@ -57,7 +56,7 @@ func (l *Local) Name() string { return "local" }
 // Predict implements predict.Predictor.
 func (l *Local) Predict(ev vm.BranchEvent) predict.Prediction {
 	target, hit := l.cache.lookup(ev.PC)
-	return prediction(!ev.Op.IsCondBranch() || l.pht[l.index(ev.PC)] >= l.threshold, target, hit)
+	return prediction(!ev.Op.IsCondBranch() || l.pht[l.index(l.bht[l.site(ev.PC)])] >= l.threshold, target, hit)
 }
 
 // Update implements predict.Predictor.
@@ -70,7 +69,7 @@ func (l *Local) Step(ev vm.BranchEvent) predict.Prediction {
 	taken := true
 	if ev.Op.IsCondBranch() {
 		h := &l.bht[l.site(ev.PC)]
-		c := &l.pht[*h&l.hmask&l.tmask]
+		c := &l.pht[l.index(*h)]
 		taken = *c >= l.threshold
 		bump(c, ev.Taken, l.max)
 		*h = pushBit(*h, ev.Taken)

@@ -2,8 +2,10 @@ package tracefile
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"branchcost/internal/isa"
 	"branchcost/internal/predict"
@@ -48,7 +50,10 @@ func TestCountsKeepJumpTargets(t *testing.T) {
 			tr.Record(vm.BranchEvent{PC: pc, ID: pc, Op: isa.JMPI, Taken: true, Target: target})
 		}
 	}
-	evs, _ := tr.histogram()
+	evs, _, err := tr.histogram(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	perSite := map[int32]int{}
 	for _, ev := range evs {
 		perSite[ev.PC]++
@@ -69,5 +74,78 @@ func TestCountsKeepJumpTargets(t *testing.T) {
 		if counted.S != replayed.S {
 			t.Errorf("target %d: from counts %+v, by replay %+v", target, counted.S, replayed.S)
 		}
+	}
+}
+
+// jumpTrace returns a trace of n indirect jumps at one site, the i-th to
+// the i%targets-th of its targets.
+func jumpTrace(n, targets int) *Trace {
+	tr := &Trace{}
+	for i := range n {
+		tr.Record(vm.BranchEvent{PC: 10, ID: 10, Op: isa.JMPI, Taken: true, Target: int32(100 + i%targets)})
+	}
+	return tr
+}
+
+// TestCountsManyJumpTargets: a trace whose one indirect-jump site reaches
+// tens of thousands of targets, or a new target every event, scores the
+// same as by replay — from counts up to maxJumpTargets distinct targets,
+// by replay past them — and in time linear in the trace, well inside a
+// deadline that scanning the targets seen so far on every event would
+// overrun.
+func TestCountsManyJumpTargets(t *testing.T) {
+	for _, c := range []struct {
+		n, targets int
+		counted    bool
+	}{
+		{n: 200_000, targets: 50_000, counted: true},
+		{n: 1_000_000, targets: 1_000_000, counted: false},
+	} {
+		tr := jumpTrace(c.n, c.targets)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		evs, _, err := tr.histogram(ctx)
+		switch {
+		case c.counted && (err != nil || len(evs) != c.targets):
+			t.Errorf("%d targets: histogram has %d entries, error %v; want one per target", c.targets, len(evs), err)
+		case !c.counted && !errors.Is(err, errManyJumpTargets):
+			t.Errorf("%d targets: histogram error %v, want errManyJumpTargets", c.targets, err)
+		}
+		counted := &predict.Evaluator{P: oneTarget{150}}
+		replayed := &predict.Evaluator{P: oneTarget{150}}
+		if err := Score(ctx, tr, []*predict.Evaluator{counted}); err != nil {
+			t.Fatalf("%d targets: %v", c.targets, err)
+		}
+		cancel()
+		tr.Replay(replayed.Observe)
+		if counted.S != replayed.S {
+			t.Errorf("%d targets: scored %+v, by replay %+v", c.targets, counted.S, replayed.S)
+		}
+	}
+}
+
+// cancelAfter is a context whose Err reports Canceled from its n-th call on.
+type cancelAfter struct {
+	context.Context
+	calls, n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCountsStopOnCancel: Score checks its context while it builds the
+// histogram, not only before, and a cancelled count scores nothing.
+func TestCountsStopOnCancel(t *testing.T) {
+	tr := jumpTrace(4*ctxCheckEvery, 3)
+	e := &predict.Evaluator{P: oneTarget{100}}
+	err := Score(&cancelAfter{Context: context.Background(), n: 2}, tr, []*predict.Evaluator{e})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Score = %v, want context.Canceled", err)
+	}
+	if e.S != (predict.Stats{}) {
+		t.Errorf("a cancelled count scored %+v", e.S)
 	}
 }

@@ -12,7 +12,6 @@ package tracefile
 // still adds the trace's events to the counter, in one add.
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"io"
@@ -63,13 +62,15 @@ const (
 
 // Score scores the trace into every sink. A CountSink that is Countable
 // gets the trace's event histogram, built once for all of them; every other
-// sink gets the replay, which runs only when there is one. Each block is
-// expanded once and fed to the replayed sinks on min(GOMAXPROCS, sinks)
-// goroutines, the caller's among them, each claiming the next sink not yet
-// fed; the next block starts when every sink is done with this one, so a
-// sink is only ever touched by one goroutine at a time and needs no
-// locking. When ctx is cancelled the replay stops within ctxCheckEvery
-// events and returns the context's error; the sinks' partial state is then
+// sink gets the replay, which runs only when there is one. A trace whose
+// indirect jumps reach more than maxJumpTargets distinct targets is
+// replayed to every sink instead. Each block is expanded once and fed to
+// the replayed sinks on min(GOMAXPROCS, sinks) goroutines, the caller's
+// among them, each claiming the next sink not yet fed; the next block
+// starts when every sink is done with this one, so a sink is only ever
+// touched by one goroutine at a time and needs no locking. When ctx is
+// cancelled the histogram or the replay stops within ctxCheckEvery events
+// and returns the context's error; the sinks' partial state is then
 // meaningless. A sink's panic re-raises on the calling goroutine once every
 // goroutine has stopped, so a recover around Score fences it.
 func Score[S BlockSink](ctx context.Context, t *Trace, sinks []S) error {
@@ -83,14 +84,18 @@ func Score[S BlockSink](ctx context.Context, t *Trace, sinks []S) error {
 		}
 	}
 	if len(counted) > 0 {
-		if err := ctx.Err(); err != nil {
+		evs, counts, err := t.histogram(ctx)
+		switch {
+		case errors.Is(err, errManyJumpTargets):
+			replayed = append(replayed, asSinks(counted)...)
+		case err != nil:
 			return err
+		default:
+			for _, c := range counted {
+				c.ObserveCounts(evs, counts)
+			}
+			telemetry.FromContext(ctx).Counter("tracefile.replay.events").Add(int64(t.events * len(counted)))
 		}
-		evs, counts := t.histogram()
-		for _, c := range counted {
-			c.ObserveCounts(evs, counts)
-		}
-		telemetry.FromContext(ctx).Counter("tracefile.replay.events").Add(int64(t.events * len(counted)))
 	}
 	if len(replayed) == 0 {
 		return ctx.Err()
@@ -98,36 +103,46 @@ func Score[S BlockSink](ctx context.Context, t *Trace, sinks []S) error {
 	return drive(ctx, &cursor{table: expansions(nil, t.sites), stream: t.stream}, replayed)
 }
 
+// maxJumpTargets bounds the distinct (site, target) pairs of indirect jumps
+// a histogram tallies. A trace with more may have nearly as many distinct
+// events as events, so counting would save little over replay while its
+// tally grew with the trace; Score replays it instead.
+const maxJumpTargets = 1 << 16
+
+// errManyJumpTargets reports a trace whose indirect jumps exceed
+// maxJumpTargets distinct (site, target) pairs.
+var errManyJumpTargets = errors.New("tracefile: too many distinct indirect-jump targets to count")
+
 // histogram returns every distinct event of the trace with the number of
 // times it occurs: one entry per site and direction recorded, and for an
-// indirect jump one per target, in site order (targets ascending).
-func (t *Trace) histogram() ([]vm.BranchEvent, []int64) {
-	type tally struct {
-		target uint32
-		n      int64
-	}
+// indirect jump one per target, in site order (targets ascending). It takes
+// time linear in the trace, checks ctx every ctxCheckEvery words, and stops
+// with errManyJumpTargets once a chunk of them takes the distinct jump
+// targets past maxJumpTargets.
+func (t *Trace) histogram(ctx context.Context) ([]vm.BranchEvent, []int64, error) {
 	perWord := make([]int64, 2*len(t.sites))
-	var jumps [][]tally // by word, for indirect jumps: events per target
-	for pos := 0; pos < len(t.stream); pos++ {
-		w := t.stream[pos]
-		perWord[w]++
-		if t.sites[w>>1].op != isa.JMPI {
-			continue
+	jumps := map[uint64]int64{} // events per indirect jump's word<<32 | target
+	for pos := 0; pos < len(t.stream); {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
 		}
-		pos++
-		if jumps == nil {
-			jumps = make([][]tally, len(perWord))
+		for end := min(pos+ctxCheckEvery, len(t.stream)); pos < end; pos++ {
+			w := t.stream[pos]
+			perWord[w]++
+			if t.sites[w>>1].op == isa.JMPI {
+				pos++
+				jumps[uint64(w)<<32|uint64(t.stream[pos])]++
+			}
 		}
-		js, target := jumps[w], t.stream[pos]
-		i := 0
-		for i < len(js) && js[i].target != target {
-			i++
+		if len(jumps) > maxJumpTargets {
+			return nil, nil, errManyJumpTargets
 		}
-		if i == len(js) {
-			jumps[w] = append(js, tally{target: target})
-		}
-		jumps[w][i].n++
 	}
+	keys := make([]uint64, 0, len(jumps))
+	for k := range jumps {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys) // by word, then target
 	var evs []vm.BranchEvent
 	var counts []int64
 	for w, ev := range expansions(nil, t.sites) {
@@ -138,14 +153,12 @@ func (t *Trace) histogram() ([]vm.BranchEvent, []int64) {
 			evs, counts = append(evs, ev), append(counts, perWord[w])
 			continue
 		}
-		js := jumps[w]
-		slices.SortFunc(js, func(a, b tally) int { return cmp.Compare(a.target, b.target) })
-		for _, j := range js {
-			ev.Target = int32(j.target)
-			evs, counts = append(evs, ev), append(counts, j.n)
+		for ; len(keys) > 0 && keys[0]>>32 == uint64(w); keys = keys[1:] {
+			ev.Target = int32(uint32(keys[0]))
+			evs, counts = append(evs, ev), append(counts, jumps[keys[0]])
 		}
 	}
-	return evs, counts
+	return evs, counts, nil
 }
 
 func asSinks[S BlockSink](sinks []S) []BlockSink {
