@@ -133,10 +133,14 @@ corpus-bench:
 	$(GO) test ./internal/experiments -run '^$$' \
 		-bench 'BenchmarkSuiteCorpusReplay|BenchmarkSuiteLiveReexec' -benchmem
 
-# Per-scheme scoring cost: ns/event of every registered scheme alone, and
-# of all of them in one tracefile.Score call, over five recorded traces.
+# Per-scheme scoring cost: ns/event of every registered scheme alone, of
+# all of them and of the daemon's upload set in one tracefile.Score call,
+# over five recorded traces; then, on one CPU, the SBTB and CBTB over a
+# working set twice their size (every insert evicts) and the per-event
+# Evaluator.Observe path.
 replay-bench:
 	$(GO) test . -run '^$$' -bench 'BenchmarkSchemeReplay' -benchtime 1x
+	$(GO) test . -run '^$$' -bench '^Benchmark(SBTB|CBTB|PredictorEvaluation)$$' -cpu 1
 
 # Regenerate the paper's full evaluation (tables, figures, ablations).
 repro:

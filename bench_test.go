@@ -482,10 +482,17 @@ var replayBenches = []string{"wc", "grep", "interp", "vcall", "btb-stress"}
 // BenchmarkSchemeReplay measures scoring recorded traces the way core
 // does, one tracefile.Score call per trace, in ns per event: each
 // registered scheme alone, then all of them together in one call (the
-// suite-warm set), over the traces of replayBenches. Predictors are built
-// outside the timer.
+// suite-warm set), then the daemon's default upload set (every scheme that
+// scores a bare trace, in the daemon's order) in one call, over the traces
+// of replayBenches. Predictors are built outside the timer.
 func BenchmarkSchemeReplay(b *testing.B) {
 	names := predict.Names()
+	var upload []string
+	for _, n := range predict.SortedNames() {
+		if sc := predict.MustLookup(n); !sc.Transformed && !sc.NeedsContext {
+			upload = append(upload, n)
+		}
+	}
 	var evals []*core.Eval
 	var events int64
 	for _, name := range replayBenches {
@@ -528,6 +535,7 @@ func BenchmarkSchemeReplay(b *testing.B) {
 		b.Run(n, func(b *testing.B) { score(b, []string{n}) })
 	}
 	b.Run("all", func(b *testing.B) { score(b, names) })
+	b.Run("upload", func(b *testing.B) { score(b, upload) })
 }
 
 // BenchmarkPipesim measures the stage-level simulator over one benchmark

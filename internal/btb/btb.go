@@ -6,6 +6,7 @@
 package btb
 
 import (
+	"branchcost/internal/pcindex"
 	"branchcost/internal/predict"
 	"branchcost/internal/vm"
 )
@@ -21,26 +22,50 @@ type Entry struct {
 	lru     uint64
 }
 
-// Buffer is an associative cache of branch entries with LRU replacement.
-// Assoc == Entries gives the paper's fully-associative organization.
+// Buffer is an associative cache of branch entries with exact LRU
+// replacement. Assoc == Entries gives the paper's fully-associative
+// organization.
 //
-// Membership is tracked in a pc -> slot index so Lookup and Delete cost
-// O(1) regardless of associativity (a 1024-entry fully-associative lookup
-// per branch event would otherwise dominate every sweep); only choosing an
-// eviction victim scans the set, and only when the set is full. The index
-// is a dense slice — branch PCs are small nonnegative program positions, so
-// direct indexing beats hashing on the simulator's hottest operation.
+// Every line lives in one flat slice, set s holding lines [s*assoc,
+// (s+1)*assoc), and a pc -> line index finds a resident branch, so a hit
+// costs one index load and one LRU stamp store whatever the associativity.
+// The index is a pcindex.Index: a slice for PCs below pcindex.MaxDense and
+// a map for any other PC, so a hostile PC costs one map entry, never an
+// allocation the size of the PC.
+//
+// A full set evicts its least recently used line without scanning it: the
+// set remembers its batchLines oldest lines as of its last scan (see
+// victim), and only a used-up batch costs a scan.
 type Buffer struct {
-	sets  [][]Entry
-	free  [][]int32 // per-set stack of invalid slots
-	index []int32   // pc -> slot+1 within its set; 0 = absent
-	count int       // valid entries
+	lines []Entry
+	index pcindex.Index // resident pc -> line
+	sets  []setState
+	free  []int32   // per-set stacks of invalid lines, set s's at s*assoc
+	old   []oldLine // per-set batches of oldest lines, set s's at s*batch
 	assoc int
+	batch int // lines per set batch: min(assoc, batchLines)
+	count int // valid entries
 	clock uint64
 
 	// Capacity metrics.
 	inserts int64
 	evicts  int64
+}
+
+// batchLines is how many of a set's oldest lines one scan remembers.
+const batchLines = 32
+
+// setState is one set's free-stack depth and its batch cursor: the
+// batch's lines before next have been evicted or touched since the scan.
+type setState struct {
+	free, next int32
+}
+
+// oldLine is a batch member: a line and its LRU stamp when the set was
+// scanned.
+type oldLine struct {
+	line int32
+	lru  uint64
 }
 
 // NewBuffer returns a buffer with the given total entries and associativity.
@@ -52,27 +77,31 @@ func NewBuffer(entries, assoc int) *Buffer {
 	}
 	nsets := entries / assoc
 	b := &Buffer{
-		sets:  make([][]Entry, nsets),
-		free:  make([][]int32, nsets),
+		lines: make([]Entry, entries),
+		sets:  make([]setState, nsets),
+		free:  make([]int32, entries),
 		assoc: assoc,
+		batch: min(assoc, batchLines),
 	}
-	for i := range b.sets {
-		b.sets[i] = make([]Entry, assoc)
-		b.free[i] = freeStack(make([]int32, 0, assoc), assoc)
-	}
+	b.old = make([]oldLine, nsets*b.batch)
+	b.emptySets()
 	return b
 }
 
-// freeStack fills f with every slot, popping order low-to-high.
-func freeStack(f []int32, assoc int) []int32 {
-	for j := assoc - 1; j >= 0; j-- {
-		f = append(f, int32(j))
+// emptySets empties every set: each set's free stack holds all its lines,
+// popping low to high, and its batch is used up.
+func (b *Buffer) emptySets() {
+	for s := range b.sets {
+		free := b.free[s*b.assoc : (s+1)*b.assoc]
+		for j := range free {
+			free[j] = int32((s+1)*b.assoc - 1 - j)
+		}
+		b.sets[s] = setState{free: int32(b.assoc), next: int32(b.batch)}
 	}
-	return f
 }
 
 // Entries returns the total capacity.
-func (b *Buffer) Entries() int { return len(b.sets) * b.assoc }
+func (b *Buffer) Entries() int { return len(b.lines) }
 
 // Assoc returns the associativity.
 func (b *Buffer) Assoc() int { return b.assoc }
@@ -103,21 +132,22 @@ func (b *Buffer) storageBits() int64 {
 	return int64(b.Entries()) * entryBits
 }
 
-func (b *Buffer) setIdx(pc int32) uint32 {
-	return uint32(pc) % uint32(len(b.sets))
+// setOf returns the set pc maps to: pc modulo the set count. Only a miss
+// that allocates and a Delete need it; a hit goes through the index.
+func (b *Buffer) setOf(pc int32) int {
+	return int(uint32(pc) % uint32(len(b.sets)))
 }
 
 // Lookup finds the entry for pc, updating its LRU stamp on hit.
 func (b *Buffer) Lookup(pc int32) (*Entry, bool) {
 	b.clock++
-	if int(pc) < len(b.index) {
-		if s := b.index[pc]; s != 0 {
-			e := &b.sets[b.setIdx(pc)][s-1]
-			e.lru = b.clock
-			return e, true
-		}
+	l, ok := b.index.Get(pc)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	e := &b.lines[l]
+	e.lru = b.clock
+	return e, true
 }
 
 // Insert returns the entry for pc, allocating (and evicting the LRU line of
@@ -125,67 +155,122 @@ func (b *Buffer) Lookup(pc int32) (*Entry, bool) {
 // LRU stamp refreshed; newly allocated entries are zeroed.
 func (b *Buffer) Insert(pc int32) *Entry {
 	b.clock++
-	si := b.setIdx(pc)
-	set := b.sets[si]
-	if int(pc) >= len(b.index) {
-		grown := make([]int32, int(pc)+64)
-		copy(grown, b.index)
-		b.index = grown
-	} else if s := b.index[pc]; s != 0 {
-		e := &set[s-1]
+	if l, ok := b.index.Get(pc); ok {
+		e := &b.lines[l]
 		e.lru = b.clock
 		return e
 	}
-	var slot int32
-	if f := b.free[si]; len(f) > 0 {
-		slot = f[len(f)-1]
-		b.free[si] = f[:len(f)-1]
+	s := b.setOf(pc)
+	st := &b.sets[s]
+	var l int32
+	if st.free > 0 {
+		st.free--
+		l = b.free[s*b.assoc+int(st.free)]
 	} else {
-		// Set full: evict the least recently used line. Stamps are unique
-		// (the clock advances on every access), so the victim is unique.
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[slot].lru {
-				slot = int32(i)
-			}
-		}
-		b.index[set[slot].PC] = 0
+		l = b.victim(s)
+		b.index.Delete(b.lines[l].PC)
 		b.evicts++
 		b.count--
 	}
 	b.inserts++
 	b.count++
-	set[slot] = Entry{PC: pc, valid: true, lru: b.clock}
-	b.index[pc] = slot + 1
-	return &set[slot]
+	b.lines[l] = Entry{PC: pc, valid: true, lru: b.clock}
+	b.index.Put(pc, uint32(l))
+	return &b.lines[l]
+}
+
+// victim returns the least recently used line of set s, which is full.
+//
+// The set's batch holds, oldest first, the lines that were its oldest when
+// it was last scanned, each with its stamp then. Stamps only grow, and
+// every access stamps a line with a clock later than that scan, so a line
+// still carrying its remembered stamp is older than every line outside
+// the batch and every line touched, deleted or refilled since: the first
+// batch line whose stamp is unchanged is the set's exact LRU line. Lines
+// touched since are passed over for good, and a used-up batch is rebuilt
+// by one scan. Each member is passed over or evicted once, so a scan of
+// assoc lines is paid for by batch accesses or evictions.
+func (b *Buffer) victim(s int) int32 {
+	st := &b.sets[s]
+	old := b.old[s*b.batch : (s+1)*b.batch]
+	for {
+		for int(st.next) < len(old) {
+			o := old[st.next]
+			st.next++
+			if b.lines[o.line].lru == o.lru {
+				return o.line
+			}
+		}
+		b.rescan(s)
+	}
+}
+
+// rescan refills set s's batch with its oldest lines, oldest first: a
+// max-heap keeps the oldest seen so far, and a heap sort orders them.
+func (b *Buffer) rescan(s int) {
+	base := s * b.assoc
+	lines := b.lines[base : base+b.assoc]
+	h := b.old[s*b.batch : (s+1)*b.batch]
+	for i := range h {
+		h[i] = oldLine{line: int32(base + i), lru: lines[i].lru}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for i := len(h); i < len(lines); i++ {
+		if lines[i].lru < h[0].lru {
+			h[0] = oldLine{line: int32(base + i), lru: lines[i].lru}
+			siftDown(h, 0)
+		}
+	}
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], 0)
+	}
+	b.sets[s].next = 0
+}
+
+// siftDown restores max-heap order by stamp below h[i].
+func siftDown(h []oldLine, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].lru > h[c].lru {
+			c++
+		}
+		if h[i].lru >= h[c].lru {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Delete invalidates the entry for pc if present.
 func (b *Buffer) Delete(pc int32) {
-	if int(pc) >= len(b.index) {
+	l, ok := b.index.Get(pc)
+	if !ok {
 		return
 	}
-	s := b.index[pc]
-	if s == 0 {
-		return
-	}
-	si := b.setIdx(pc)
-	b.sets[si][s-1] = Entry{}
-	b.index[pc] = 0
+	b.index.Delete(pc)
+	b.lines[l] = Entry{}
 	b.count--
-	b.free[si] = append(b.free[si], s-1)
+	s := b.setOf(pc)
+	b.free[s*b.assoc+int(b.sets[s].free)] = int32(l)
+	b.sets[s].free++
 }
 
 // Reset invalidates every entry (context-switch simulation).
 func (b *Buffer) Reset() {
-	for si, set := range b.sets {
-		for i := range set {
-			set[i] = Entry{}
+	for i := range b.lines {
+		if b.lines[i].valid {
+			b.index.Delete(b.lines[i].PC)
+			b.lines[i] = Entry{}
 		}
-		b.free[si] = freeStack(b.free[si][:0], b.assoc)
 	}
-	for i := range b.index {
-		b.index[i] = 0
-	}
+	b.emptySets()
 	b.count = 0
 }
 

@@ -68,7 +68,7 @@ func newFolder(L, w int) folder {
 
 // step advances register f: remove the evicted oldest bit, rotate every
 // surviving bit one position up, insert the new bit b at position 0.
-func (fo folder) step(f, evict, b uint32) uint32 {
+func (fo *folder) step(f, evict, b uint32) uint32 {
 	f ^= evict << fo.oldestAt
 	f = ((f << 1) | (f >> fo.top)) & fo.mask
 	return f ^ b
@@ -274,7 +274,8 @@ func (t *TAGE) push(taken bool) {
 	if taken {
 		b = 1
 	}
-	for i, fo := range t.folds {
+	for i := range t.folds {
+		fo := &t.folds[i]
 		evict := uint32(t.hist>>fo.oldest) & 1
 		t.foldIdx[i] = fo.idx.step(t.foldIdx[i], evict, b)
 		t.foldTag1[i] = fo.tag1.step(t.foldTag1[i], evict, b)

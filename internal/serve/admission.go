@@ -74,9 +74,10 @@ func evalError(err error) *APIError {
 }
 
 // admit runs the full admission pipeline for an evaluation request:
-// rate limit, drain check, queue bound, then an in-flight slot. On success
-// it returns a release func the handler must call when the evaluation
-// finishes; on rejection it returns the typed error to send.
+// rate limit, drain check, then a free in-flight slot if there is one,
+// else the queue bound and a wait for a slot. On success it returns a
+// release func the handler must call when the evaluation finishes; on
+// rejection it returns the typed error to send.
 func (s *Server) admit(r *http.Request) (release func(), aerr *APIError) {
 	if !s.lim.allow(clientKey(r)) {
 		s.set.Counter("serve.rejected_rate").Inc()
@@ -94,6 +95,17 @@ func (s *Server) admit(r *http.Request) (release func(), aerr *APIError) {
 		s.mu.Unlock()
 		s.set.Counter("serve.rejected_draining").Inc()
 		return nil, apiErr(http.StatusServiceUnavailable, "draining", "server is draining")
+	}
+	// A free slot is taken at once, so only a request that has to wait
+	// counts against MaxQueue. A waiting sender is handed the next freed
+	// slot before any later arrival can take it, so this never jumps the
+	// queue.
+	select {
+	case s.slots <- struct{}{}:
+		s.inflight.Add(1)
+		s.mu.Unlock()
+		return s.holdSlot(), nil
+	default:
 	}
 	if s.queued >= int64(s.cfg.MaxQueue) {
 		s.mu.Unlock()
@@ -118,16 +130,7 @@ func (s *Server) admit(r *http.Request) (release func(), aerr *APIError) {
 	select {
 	case s.slots <- struct{}{}:
 		leaveQueue()
-		s.set.Gauge("serve.inflight").Set(int64(len(s.slots)))
-		s.set.Gauge("serve.inflight_peak").RecordMax(int64(len(s.slots)))
-		var once sync.Once
-		return func() {
-			once.Do(func() {
-				<-s.slots
-				s.set.Gauge("serve.inflight").Set(int64(len(s.slots)))
-				s.inflight.Done()
-			})
-		}, nil
+		return s.holdSlot(), nil
 	case <-s.drainCh:
 		leaveQueue()
 		s.inflight.Done()
@@ -137,6 +140,21 @@ func (s *Server) admit(r *http.Request) (release func(), aerr *APIError) {
 		leaveQueue()
 		s.inflight.Done()
 		return nil, apiErr(499, "cancelled", "client went away while queued")
+	}
+}
+
+// holdSlot records an in-flight slot just taken and returns the func that
+// gives it back.
+func (s *Server) holdSlot() func() {
+	s.set.Gauge("serve.inflight").Set(int64(len(s.slots)))
+	s.set.Gauge("serve.inflight_peak").RecordMax(int64(len(s.slots)))
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			<-s.slots
+			s.set.Gauge("serve.inflight").Set(int64(len(s.slots)))
+			s.inflight.Done()
+		})
 	}
 }
 

@@ -187,10 +187,13 @@ func TestServeUnknownBenchmark(t *testing.T) {
 }
 
 // TestServeAdmissionOverload: with one in-flight slot and a one-deep queue,
-// a third concurrent evaluation is rejected immediately with a typed 503 —
-// not blocked behind the others.
+// two evaluations sent at once are both admitted, one running and one
+// waiting, and a third is rejected immediately with a typed 503 — not
+// blocked behind the others.
 func TestServeAdmissionOverload(t *testing.T) {
 	gate := make(chan struct{})
+	var open sync.Once
+	release := func() { open.Do(func() { close(gate) }) }
 	s := testServer(t, func(c *serve.Config) {
 		c.MaxInFlight = 1
 		c.MaxQueue = 1
@@ -199,22 +202,37 @@ func TestServeAdmissionOverload(t *testing.T) {
 	s.Suite().Lookup = blockingLookup(gate)
 
 	var wg sync.WaitGroup
+	// However the test ends, a failed assertion included, open the gate and
+	// wait for both requests, so neither outlives it.
+	t.Cleanup(func() {
+		release()
+		wg.Wait()
+	})
 	results := make([]*httptest.ResponseRecorder, 2)
+	finished := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			results[i] = do(s, httptest.NewRequest("POST", fmt.Sprintf("/eval?benchmark=slow%d", i), nil))
+			finished <- i
 		}(i)
 	}
-	// Wait until one evaluation holds the slot and one sits in the queue.
-	deadline := time.Now().Add(5 * time.Second)
+	// Wait, for as long as the test may run, until one evaluation holds the
+	// slot and one sits in the queue. Neither may finish while the gate is
+	// shut: one that does was turned away.
+	deadline, bounded := t.Deadline()
 	for {
 		snap := s.Telemetry().Snapshot()
 		if snap.Gauges["serve.inflight"] == 1 && snap.Gauges["serve.queue_depth"] == 1 {
 			break
 		}
-		if time.Now().After(deadline) {
+		select {
+		case i := <-finished:
+			t.Fatalf("request %d answered before the gate opened: %d, body %s", i, results[i].Code, results[i].Body)
+		default:
+		}
+		if bounded && time.Until(deadline) < time.Second {
 			t.Fatalf("admission never filled: %v", snap.Gauges)
 		}
 		time.Sleep(time.Millisecond)
@@ -231,7 +249,7 @@ func TestServeAdmissionOverload(t *testing.T) {
 		t.Fatal("overload rejection carries no Retry-After")
 	}
 
-	close(gate)
+	release()
 	wg.Wait()
 	for i, w := range results {
 		if w.Code != http.StatusOK {

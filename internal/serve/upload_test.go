@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -107,5 +108,72 @@ func TestServeUploadConflictingTrace(t *testing.T) {
 	}
 	if w := do(s, httptest.NewRequest("POST", "/eval?schemes=sbtb", bytes.NewReader(wcUpload(t)))); w.Code != http.StatusOK {
 		t.Fatalf("upload after rejected traces = %d, body %s", w.Code, w.Body)
+	}
+}
+
+// farPCUpload frames one jump at pc, executed twice to target 8, as a BCT2
+// upload.
+func farPCUpload(t *testing.T, pc int32) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tw, err := tracefile.NewBCT2Writer(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw.Runs = 1
+	for i := 0; i < 2; i++ {
+		tw.Record(vm.BranchEvent{PC: pc, ID: pc, Op: isa.JMP, Taken: true, Target: 8})
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestServeUploadFarPC: an upload whose only branch sits at a PC far past
+// any program scores under the daemon's default upload schemes in a few
+// MiB: a branch-target buffer indexes such a PC in a map, not in a slice
+// as long as the PC (at PC 2^24 that slice cost 64 MiB per buffer, and at
+// 2^31−1 it would ask for 8 GiB per buffer, an allocation failure no
+// recover contains). The 2^24 case runs first, so a regression fails
+// there.
+func TestServeUploadFarPC(t *testing.T) {
+	// The default set, named because this package also registers
+	// replay-panic, which the default would include.
+	const upload = "always-not-taken,btb2l,cbtb,gshare,local,perceptron,sbtb,tage"
+	s := testServer(t, nil)
+	for _, pc := range []int32{1 << 24, math.MaxInt32} {
+		raw := farPCUpload(t, pc)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := do(s, httptest.NewRequest("POST", "/eval?schemes="+upload, bytes.NewReader(raw)))
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusOK {
+			t.Fatalf("pc %d: upload = %d, body %s", pc, w.Code, w.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Fatalf("pc %d: scoring the upload allocated %.1f MiB", pc, float64(alloc)/(1<<20))
+		}
+		schemes := 0
+		for _, m := range ndjsonLines(t, w.Body) {
+			if m["kind"] != "scheme" {
+				continue
+			}
+			schemes++
+			// The first jump misses every buffer and the second hits; a
+			// buffer scheme predicts the second to its cached target.
+			want := map[string]float64{"branches": 2, "correct": 1, "hits": 1, "misses": 1}
+			if m["scheme"] == "always-not-taken" {
+				want = map[string]float64{"branches": 2, "correct": 0, "hits": 2, "misses": 0}
+			}
+			for k, v := range want {
+				if m[k] != v {
+					t.Errorf("pc %d: %v %s = %v, want %v", pc, m["scheme"], k, m[k], v)
+				}
+			}
+		}
+		if schemes != 8 {
+			t.Fatalf("pc %d: %d scheme lines, want 8", pc, schemes)
+		}
 	}
 }

@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"branchcost/internal/isa"
+	"branchcost/internal/pcindex"
 	"branchcost/internal/telemetry"
 	"branchcost/internal/vm"
 )
@@ -86,7 +87,7 @@ type BCT2Writer struct {
 
 	w        io.Writer
 	sites    []traceSite
-	bySite   pcIndex
+	bySite   pcindex.Index
 	newSites []uint32 // sites first seen in the current block
 	events   []byte   // encoded event stream of the current block
 	head     []byte   // flush's reused payload header
@@ -130,11 +131,11 @@ func (tw *BCT2Writer) Record(ev vm.BranchEvent) {
 		tw.err = fmt.Errorf("tracefile: bct2: recording non-branch op %d", uint8(ev.Op))
 		return
 	}
-	idx, ok := tw.bySite.get(ev.PC)
+	idx, ok := tw.bySite.Get(ev.PC)
 	if !ok {
 		idx = uint32(len(tw.sites))
 		tw.sites = append(tw.sites, newSite(ev))
-		tw.bySite.put(ev.PC, idx)
+		tw.bySite.Put(ev.PC, idx)
 		tw.newSites = append(tw.newSites, idx)
 	}
 	// The decoder learns per-direction targets from the first event carrying
@@ -279,7 +280,7 @@ type BCT2Reader struct {
 	br     *bufio.Reader
 	off    int64
 	sites  []traceSite
-	bySite pcIndex          // pc -> index into sites, to reject a repeat
+	bySite pcindex.Index    // pc -> index into sites, to reject a repeat
 	buf    []byte           // reusable payload buffer
 	words  []uint32         // NextBlock's reusable packed block
 	table  []vm.BranchEvent // NextBlock's expansions of the dictionary
@@ -538,10 +539,10 @@ func (d *BCT2Reader) decodePayload(payload []byte, start int64, dst []uint32) ([
 			!op.Valid() || !op.IsBranch() {
 			return nil, d.corruptf(start, "corrupt site entry %d (pc %d, op %d)", i, pc, opByte&0x7f)
 		}
-		if _, dup := d.bySite.get(int32(pc)); dup {
+		if _, dup := d.bySite.Get(int32(pc)); dup {
 			return nil, d.corruptf(start, "site entry %d repeats pc %d", i, pc)
 		}
-		d.bySite.put(int32(pc), uint32(len(d.sites)))
+		d.bySite.Put(int32(pc), uint32(len(d.sites)))
 		d.sites = append(d.sites, traceSite{
 			pc: int32(pc), id: int32(id), op: op, likely: opByte&0x80 != 0,
 			takenTarget: -1, fallTarget: -1,

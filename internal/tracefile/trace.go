@@ -20,6 +20,7 @@ import (
 	"io"
 
 	"branchcost/internal/isa"
+	"branchcost/internal/pcindex"
 	"branchcost/internal/telemetry"
 	"branchcost/internal/vm"
 )
@@ -36,15 +37,15 @@ import (
 // taken bit — with indirect jumps (the only branches whose target varies at
 // run time) spending a second word on the target. A replayed event is
 // bit-identical to the recorded vm.BranchEvent at ~4 bytes per event.
-// Recording finds an event's site through a PC-indexed slice (see pcIndex),
-// and WriteTo encodes BCT2 from the packed words without rebuilding an
+// Recording finds an event's site through a pcindex.Index, so it pays a
+// bounds check per event instead of a map lookup, and WriteTo encodes BCT2 from the packed words without rebuilding an
 // event.
 //
 // A Trace records the stream of exactly one program; mixing programs would
 // alias PCs across different instructions.
 type Trace struct {
 	sites  []traceSite
-	bySite pcIndex // PC -> index into sites
+	bySite pcindex.Index // PC -> index into sites
 	stream []uint32
 	events int
 
@@ -83,11 +84,11 @@ func (t *Trace) Record(ev vm.BranchEvent) {
 
 // add is Record returning the contradiction as an error.
 func (t *Trace) add(ev vm.BranchEvent) error {
-	idx, ok := t.bySite.get(ev.PC)
+	idx, ok := t.bySite.Get(ev.PC)
 	if !ok {
 		idx = uint32(len(t.sites))
 		t.sites = append(t.sites, newSite(ev))
-		t.bySite.put(ev.PC, idx)
+		t.bySite.Put(ev.PC, idx)
 	}
 	if _, ok := t.sites[idx].admit(ev); !ok {
 		return t.sites[idx].conflict(ev)
@@ -111,46 +112,6 @@ func newSite(ev vm.BranchEvent) traceSite {
 		pc: ev.PC, id: ev.ID, op: ev.Op, likely: ev.Likely,
 		takenTarget: -1, fallTarget: -1,
 	}
-}
-
-// maxDensePC bounds the PCs a pcIndex holds in its slice: ten times the
-// largest registered program (btb-stress's FS binary, about 11.5K
-// positions), so a PC past it — or a negative one, as a hostile trace file
-// may name — costs one map entry, never an allocation the size of the PC.
-const maxDensePC = 1 << 17
-
-// pcIndex finds a branch site's index by its PC. PCs in [0, maxDensePC)
-// index a slice grown on demand, as profile.Collector indexes branches by
-// ID, so recording pays a bounds check per event instead of a map lookup;
-// any other PC goes to a map. The zero value is an empty index.
-type pcIndex struct {
-	dense []uint32         // pc -> site index + 1; 0 while pc has no site
-	far   map[int32]uint32 // pc -> site index, for PCs dense does not hold
-}
-
-// get returns pc's site index, and whether pc has a site.
-func (x *pcIndex) get(pc int32) (uint32, bool) {
-	if uint32(pc) < uint32(len(x.dense)) {
-		v := x.dense[pc]
-		return v - 1, v != 0
-	}
-	idx, ok := x.far[pc]
-	return idx, ok
-}
-
-// put records idx as pc's site index.
-func (x *pcIndex) put(pc int32, idx uint32) {
-	if pc < 0 || pc >= maxDensePC {
-		if x.far == nil {
-			x.far = map[int32]uint32{}
-		}
-		x.far[pc] = idx
-		return
-	}
-	if n := int(pc) + 1; n > len(x.dense) {
-		x.dense = append(x.dense, make([]uint32, n-len(x.dense))...)
-	}
-	x.dense[pc] = idx + 1
 }
 
 // admit checks ev against the site's static identity and, for a direct
