@@ -137,10 +137,12 @@ corpus-bench:
 # all of them and of the daemon's upload set in one tracefile.Score call,
 # over five recorded traces; then, on one CPU, the SBTB and CBTB over a
 # working set twice their size (every insert evicts) and the per-event
-# Evaluator.Observe path.
+# Evaluator.Observe path; then the one way a trace file is read and scored,
+# ReadTrace plus tracefile.Score, in ns/op and B/op.
 replay-bench:
 	$(GO) test . -run '^$$' -bench 'BenchmarkSchemeReplay' -benchtime 1x
 	$(GO) test . -run '^$$' -bench '^Benchmark(SBTB|CBTB|PredictorEvaluation)$$' -cpu 1
+	$(GO) test . -run '^$$' -bench '^BenchmarkTraceReplay$$'
 
 # Regenerate the paper's full evaluation (tables, figures, ablations).
 repro:

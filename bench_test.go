@@ -365,7 +365,10 @@ func BenchmarkAsmRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceReplay measures BCT2 decode + evaluator throughput.
+// BenchmarkTraceReplay measures the one way a trace file is read and
+// scored: ReadTrace over wc's BCT2 file (all 20 inputs, 23 blocks), then
+// tracefile.Score through a CBTB. B/op is what the load allocates (the
+// packed stream it keeps is 4 bytes per event) plus the predictor's state.
 func BenchmarkTraceReplay(b *testing.B) {
 	bench, err := workloads.ByName("wc")
 	if err != nil {
@@ -375,30 +378,29 @@ func BenchmarkTraceReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tw, err := tracefile.NewBCT2Writer(&buf)
+	tr, err := tracefile.Record(prog, bench.Inputs())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := vm.Run(prog, bench.Input(0), tw.Hook(), vm.Config{}); err != nil {
-		b.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := tracefile.NewBCT2Reader(bytes.NewReader(data))
+		loaded, err := tracefile.ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			b.Fatal(err)
 		}
 		ev := &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2)}
-		if err := tracefile.ScoreStream(context.Background(), d, ev.Hook()); err != nil {
+		if err := tracefile.Score(context.Background(), loaded, []*predict.Evaluator{ev}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(tr.Len())), "ns/event")
 }
 
 // traceBenches are the benchmarks the trace-layer benches record: two of

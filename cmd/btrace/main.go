@@ -43,8 +43,8 @@
 // -corpus defaults to $BRANCHCOST_CORPUS. Replay draws its schemes from the
 // registry: every registered scheme that needs neither the program (for
 // static targets) nor a transformed binary can score a standalone trace.
-// Traces are BCT2 files and replay as a block stream (decode overlapped with
-// scoring, memory bounded by a few blocks).
+// Traces are BCT2 files. Replay, -inspect and -verify load one whole, about
+// 4 bytes per event, and replay scores it through tracefile.Score.
 package main
 
 import (
@@ -54,7 +54,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"strings"
@@ -366,27 +365,32 @@ func doList(dir string) {
 	fmt.Printf("%d entries in %s\n", len(keys), store.Dir())
 }
 
-func doInspect(ctx context.Context, path string) {
+// readTrace loads a trace file whole: the one way replay, -inspect and
+// -verify read a file.
+func readTrace(ctx context.Context, path string) *tracefile.Trace {
 	f, err := os.Open(path)
 	if err != nil {
 		fail(err)
 	}
 	defer f.Close()
-	d, err := tracefile.NewBCT2Reader(bufio.NewReaderSize(f, 1<<20))
+	tr, err := tracefile.ReadTraceContext(ctx, bufio.NewReaderSize(f, 1<<20))
 	if err != nil {
 		fail(err)
 	}
-	d.Instrument(telemetry.FromContext(ctx))
-	for {
-		if _, err := d.NextBlock(nil); err != nil {
-			if !errors.Is(err, io.EOF) {
-				fail(err)
-			}
-			break
-		}
+	return tr
+}
+
+// doInspect describes a trace file. Its block count is the decoder's
+// "tracefile.bct2.blocks" counter in the command's telemetry set, which
+// counts this one load.
+func doInspect(ctx context.Context, path string) {
+	tr := readTrace(ctx, path)
+	st, err := os.Stat(path)
+	if err != nil {
+		fail(err)
 	}
 	fmt.Printf("%s: BCT2, %d events, %d sites, %d blocks, %d bytes, %d instructions, %d runs\n",
-		path, d.Events(), d.Sites(), d.Blocks(), d.Offset(), d.Steps(), d.Runs())
+		path, tr.Len(), tr.Sites(), telemetry.FromContext(ctx).Counter("tracefile.bct2.blocks").Value(), st.Size(), tr.Steps, tr.Runs)
 }
 
 // printVerdicts renders one trace's verification outcomes, returning how
@@ -413,15 +417,7 @@ func printVerdicts(verdicts []oracle.Verdict) (failed int) {
 // doVerifyFile replays one trace file through every verifiable scheme and
 // its oracle twin in lockstep, exiting nonzero on the first divergence.
 func doVerifyFile(ctx context.Context, path string, configs predict.ConfigSet) {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	tr, err := tracefile.ReadTraceContext(ctx, bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		fail(err)
-	}
+	tr := readTrace(ctx, path)
 	fmt.Printf("%s: %d events\n", path, tr.Len())
 	if n := printVerdicts(oracle.VerifyTrace(tr, configs)); n > 0 {
 		fail(fmt.Errorf("%d scheme(s) diverged from the oracle", n))
@@ -491,24 +487,14 @@ func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSe
 		names = []string{scheme}
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	tr := readTrace(ctx, path)
 	// -frontend walks the benchmark's program between events, bounded by
-	// the trace's recorded step and run totals, so the trace loads whole;
-	// otherwise blocks decode once and stream through the scorers.
+	// the trace's recorded step and run totals.
 	var prog *branchcost.Program
-	var tr *tracefile.Trace
 	if len(widths) > 0 {
 		b, err := workloads.ByName(bench)
 		if err == nil {
 			prog, err = b.Program()
-		}
-		if err == nil {
-			tr, err = tracefile.ReadTraceContext(ctx, r)
 		}
 		if err != nil {
 			fail(err)
@@ -519,7 +505,6 @@ func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSe
 	const fk, fl, fm = 1, 2, 2
 	evals := make([]*predict.Evaluator, len(names))
 	recs := make([]*attr.Recorder, len(names))
-	hooks := make([]vm.BranchFunc, len(names))
 	sims := make([][]*pipesim.Sim, len(names))
 	var fronts []*pipesim.Traced
 	for i, n := range names {
@@ -531,7 +516,7 @@ func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSe
 			recs[i] = attr.NewRecorder(explain.opts)
 			obs = append(obs, recs[i])
 		}
-		if tr != nil {
+		if prog != nil {
 			for _, w := range widths {
 				sims[i] = append(sims[i], pipesim.New(w, fk, fl, fm))
 			}
@@ -543,24 +528,13 @@ func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSe
 		if len(obs) > 0 {
 			evals[i].Obs = obs
 		}
-		hooks[i] = evals[i].Hook()
 	}
-	if tr != nil {
-		if err := tracefile.Score(ctx, tr, evals); err != nil {
-			fail(err)
-		}
-		for _, front := range fronts {
-			if err := front.Finish(); err != nil {
-				fail(fmt.Errorf("-frontend: %s does not fit benchmark %s: %w", path, bench, err))
-			}
-		}
-	} else {
-		d, err := tracefile.NewBCT2Reader(r)
-		if err != nil {
-			fail(err)
-		}
-		if err := tracefile.ScoreStream(ctx, d, hooks...); err != nil {
-			fail(err)
+	if err := tracefile.Score(ctx, tr, evals); err != nil {
+		fail(err)
+	}
+	for _, front := range fronts {
+		if err := front.Finish(); err != nil {
+			fail(fmt.Errorf("-frontend: %s does not fit benchmark %s: %w", path, bench, err))
 		}
 	}
 	for i, n := range names {

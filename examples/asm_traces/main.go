@@ -15,7 +15,6 @@ import (
 	"branchcost/internal/btb"
 	"branchcost/internal/predict"
 	"branchcost/internal/tracefile"
-	"branchcost/internal/vm"
 )
 
 // A branchy kernel: histogram input bytes into 16 buckets with a
@@ -74,44 +73,42 @@ func main() {
 		}
 	}
 
-	// Record the trace, streaming it to a BCT2 file as the VM runs.
+	// Record the trace once and write it to a BCT2 file.
+	tr, err := tracefile.Record(prog, [][]byte{input})
+	if err != nil {
+		log.Fatal(err)
+	}
 	path := filepath.Join(os.TempDir(), "asm_kernel.bt")
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tw, err := tracefile.NewBCT2Writer(f)
+	_, err = tr.WriteTo(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := vm.Run(prog, input, tw.Hook(), vm.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	tw.Steps, tw.Runs = res.Steps, 1
-	if err := tw.Close(); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
 	fmt.Printf("kernel: %d instructions executed, %d branches -> %s\n",
-		res.Steps, tw.Count(), path)
+		tr.Steps, tr.Len(), path)
 
-	// Replay the same trace through a BTB size sweep — no re-execution.
+	// Read the file back and replay it through a BTB size sweep — no
+	// re-execution.
+	g, err := os.Open(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	loaded, err := tracefile.ReadTrace(g)
+	g.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\n%8s %10s %10s\n", "entries", "A_SBTB", "A_CBTB")
 	for _, entries := range []int{2, 4, 8, 16, 64} {
-		g, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		d, err := tracefile.NewBCT2Reader(g)
-		if err != nil {
-			log.Fatal(err)
-		}
 		sbtb := &predict.Evaluator{P: btb.NewSBTB(entries, entries)}
 		cbtb := &predict.Evaluator{P: btb.NewCBTB(entries, entries, 2, 2)}
-		err = tracefile.ScoreStream(context.Background(), d, sbtb.Hook(), cbtb.Hook())
-		g.Close()
-		if err != nil {
+		if err := tracefile.Score(context.Background(), loaded, []*predict.Evaluator{sbtb, cbtb}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%8d %9.2f%% %9.2f%%\n", entries,

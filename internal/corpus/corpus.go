@@ -313,38 +313,6 @@ func (s *Store) load(ctx context.Context, k Key) (*tracefile.Trace, *profile.Pro
 	return t, prof, nil
 }
 
-// OpenTrace opens the entry's trace as a block stream, for replay without
-// materializing it. The caller must Close the returned closer; the entry
-// stays pinned against eviction until it does.
-func (s *Store) OpenTrace(k Key) (*tracefile.BCT2Reader, io.Closer, error) {
-	release := s.Pin(k)
-	f, err := s.fsys.Open(s.TracePath(k))
-	if err != nil {
-		release()
-		return nil, nil, fmt.Errorf("corpus: %s: %w: %w", k.Name, classifyOpen(err), err)
-	}
-	d, err := tracefile.NewBCT2Reader(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		f.Close()
-		release()
-		return nil, nil, fmt.Errorf("corpus: %s: %w: %w", k.Name, classifyDecode(err), err)
-	}
-	s.touch(k)
-	return d, &pinnedCloser{c: f, release: release}, nil
-}
-
-// pinnedCloser unpins a streamed entry when the stream is closed.
-type pinnedCloser struct {
-	c       io.Closer
-	release func()
-	once    sync.Once
-}
-
-func (p *pinnedCloser) Close() error {
-	defer p.once.Do(p.release)
-	return p.c.Close()
-}
-
 // Quarantine moves a damaged entry aside. See QuarantineContext.
 func (s *Store) Quarantine(k Key) error {
 	return s.QuarantineContext(context.Background(), k)

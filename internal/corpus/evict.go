@@ -16,14 +16,14 @@ import (
 // overflow is shed by evicting whole entries (trace + profile together) in
 // least-recently-accessed order.
 //
-// Access order is tracked in memory (touched by Load/OpenTrace hits and
-// Put) and seeded from file modification times for entries that predate
-// this process — close enough to atime ordering without requiring an
+// Access order is tracked in memory (touched by Load hits and Put) and
+// seeded from file modification times for entries that predate this
+// process — close enough to atime ordering without requiring an
 // atime-mounted filesystem. Two classes of files are never evicted:
 //
-//   - pinned entries: an evaluation is loading, streaming, or writing the
-//     entry right now. Pin/unpin brackets every store operation, so eviction
-//     can run concurrently with serving traffic.
+//   - pinned entries: an evaluation is loading or writing the entry right
+//     now. Pin/unpin brackets every store operation, so eviction can run
+//     concurrently with serving traffic.
 //   - quarantined files: they live under .quarantine/, which the eviction
 //     scan (like Keys) does not descend into. Quarantine is forensic
 //     evidence with its own lifecycle; a size budget must not destroy it.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"branchcost/internal/isa"
@@ -108,6 +109,19 @@ func TestServeUploadConflictingTrace(t *testing.T) {
 	}
 	if w := do(s, httptest.NewRequest("POST", "/eval?schemes=sbtb", bytes.NewReader(wcUpload(t)))); w.Code != http.StatusOK {
 		t.Fatalf("upload after rejected traces = %d, body %s", w.Code, w.Body)
+	}
+}
+
+// TestServeUploadConcatenatedTraces: an upload of two traces one after the
+// other, as `cat a.bt b.bt` makes, is 400 bad_trace naming the bytes after
+// the first trailer, not the first trace scored alone.
+func TestServeUploadConcatenatedTraces(t *testing.T) {
+	s := testServer(t, nil)
+	raw := wcUpload(t)
+	w := do(s, httptest.NewRequest("POST", "/eval?schemes=sbtb", bytes.NewReader(append(bytes.Clone(raw), raw...))))
+	e := decodeError(t, w)
+	if w.Code != http.StatusBadRequest || e.Code != "bad_trace" || !strings.Contains(e.Message, "data after the trailer") {
+		t.Fatalf("two concatenated traces = %d/%s %q, want 400/bad_trace naming the data after the trailer", w.Code, e.Code, e.Message)
 	}
 }
 

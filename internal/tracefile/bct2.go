@@ -36,11 +36,11 @@ package tracefile
 // (hasTarget set), and later events in the same direction omit it. Indirect
 // jumps (JMPI), whose targets are run-time data, carry a target every event.
 // Encoder and decoder maintain this dictionary in lockstep, so the stream
-// decodes deterministically block by block — no seeking, no global tables —
-// which is what lets replay consume a corpus file larger than memory.
+// decodes deterministically block by block, with no seeking and no global
+// tables. The stream ends at its trailer: a decoder refuses any byte after
+// it.
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,9 +76,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 var errVarint = errors.New("varint overflows 64 bits")
 
-// BCT2Writer streams branch events to w in the BCT2 encoding. It needs no
+// BCT2Writer writes branch events to w in the BCT2 encoding. It needs no
 // seeking: the event count lives per block and the run metadata in the
 // trailer, so any io.Writer (a pipe, a compressor, a network socket) works.
+// Trace.WriteTo encodes through it; Record, one event at a time, is the
+// reference encoding WriteTo's bytes are tested against, and the way to
+// write an exact event stream by hand.
 type BCT2Writer struct {
 	// Steps and Runs are written into the trailer by Close; set them before
 	// closing when the recording pass tracked them.
@@ -93,9 +96,8 @@ type BCT2Writer struct {
 	head     []byte   // flush's reused payload header
 	frame    []byte   // flush's reused block frame
 	nEvents  int
-	count    uint64
-	blocks   int
-	prevPC   int32 // previous dictionary entry's pc (delta basis)
+	count    uint64 // events recorded, for Record's error messages
+	prevPC   int32  // previous dictionary entry's pc (delta basis)
 	err      error
 }
 
@@ -107,17 +109,6 @@ func NewBCT2Writer(w io.Writer) (*BCT2Writer, error) {
 		return nil, err
 	}
 	return tw, nil
-}
-
-// Hook returns a vm.BranchFunc recording every counted branch (CALL events
-// pass through unrecorded, matching the evaluator's view).
-func (tw *BCT2Writer) Hook() vm.BranchFunc {
-	return func(ev vm.BranchEvent) {
-		if !ev.Op.IsBranch() {
-			return
-		}
-		tw.Record(ev)
-	}
 }
 
 // Record appends one event. The first error sticks and is returned by Close;
@@ -211,7 +202,6 @@ func (tw *BCT2Writer) encode(t *Trace) {
 			tw.events = binary.AppendVarint(tw.events, int64(target)-int64(s.pc))
 		}
 		tw.nEvents++
-		tw.count++
 		if tw.nEvents >= blockEvents {
 			tw.flush()
 		}
@@ -246,7 +236,6 @@ func (tw *BCT2Writer) flush() {
 		tw.err = err
 		return
 	}
-	tw.blocks++
 	tw.newSites = tw.newSites[:0]
 	tw.events = tw.events[:0]
 	tw.nEvents = 0
@@ -269,39 +258,33 @@ func (tw *BCT2Writer) Close() error {
 	return tw.err
 }
 
-// Count returns the number of events recorded so far.
-func (tw *BCT2Writer) Count() uint64 { return tw.count }
-
-// BCT2Reader decodes a BCT2 stream block by block. It holds only the site
-// dictionary and one block in memory, so a trace far larger than memory
-// replays in constant space. Every error it returns locates the failure by
-// block index and byte offset.
-type BCT2Reader struct {
+// bct2Reader decodes a BCT2 stream block by block into the in-memory
+// trace's packed words over its own site dictionary, which ReadTrace
+// adopts. Every error it returns locates the failure by block index and
+// byte offset.
+type bct2Reader struct {
 	br     *bufio.Reader
 	off    int64
 	sites  []traceSite
-	bySite pcindex.Index    // pc -> index into sites, to reject a repeat
-	buf    []byte           // reusable payload buffer
-	words  []uint32         // NextBlock's reusable packed block
-	table  []vm.BranchEvent // NextBlock's expansions of the dictionary
+	bySite pcindex.Index // pc -> index into sites, to reject a repeat
+	buf    []byte        // reusable payload buffer
 	steps  int64
 	runs   int
 	blocks int
 	events uint64
-	done   bool
 
-	// Decode counters, nil (no-op) unless Instrument was called.
+	// Decode counters, nil (no-op) unless instrument was called.
 	mBlocks, mBytes, mEvents, mCRCFail *telemetry.Counter
 	// Per-block decode latency distribution; nil skips the clock reads too.
 	hDecode *telemetry.Histogram
 }
 
-// Instrument binds the reader's decode counters — "tracefile.bct2.blocks",
+// instrument binds the reader's decode counters — "tracefile.bct2.blocks",
 // ".bytes", ".events", and ".crc_failures" — plus the per-block decode
 // latency histogram "tracefile.bct2.block_decode_ns" to set. A nil set
 // (telemetry disabled) leaves the reader uninstrumented; the latency clock
 // reads happen only when the histogram is bound.
-func (d *BCT2Reader) Instrument(set *telemetry.Set) {
+func (d *bct2Reader) instrument(set *telemetry.Set) {
 	if set == nil {
 		return
 	}
@@ -312,8 +295,8 @@ func (d *BCT2Reader) Instrument(set *telemetry.Set) {
 	d.hDecode = set.Histogram("tracefile.bct2.block_decode_ns")
 }
 
-// NewBCT2Reader validates the magic and version.
-func NewBCT2Reader(r io.Reader) (*BCT2Reader, error) {
+// newBCT2Reader validates the magic and version.
+func newBCT2Reader(r io.Reader) (*bct2Reader, error) {
 	var m [4]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
 		return nil, fmt.Errorf("tracefile: short header: %w", err)
@@ -325,7 +308,7 @@ func NewBCT2Reader(r io.Reader) (*BCT2Reader, error) {
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)
 	}
-	d := &BCT2Reader{br: br, off: 4}
+	d := &bct2Reader{br: br, off: 4}
 	v, err := d.readByte()
 	if err != nil {
 		return nil, fmt.Errorf("tracefile: bct2: short header: %w", noEOF(err))
@@ -336,7 +319,7 @@ func NewBCT2Reader(r io.Reader) (*BCT2Reader, error) {
 	return d, nil
 }
 
-func (d *BCT2Reader) readByte() (byte, error) {
+func (d *bct2Reader) readByte() (byte, error) {
 	b, err := d.br.ReadByte()
 	if err == nil {
 		d.off++
@@ -344,7 +327,7 @@ func (d *BCT2Reader) readByte() (byte, error) {
 	return b, err
 }
 
-func (d *BCT2Reader) readFull(p []byte) error {
+func (d *bct2Reader) readFull(p []byte) error {
 	n, err := io.ReadFull(d.br, p)
 	d.off += int64(n)
 	return err
@@ -352,7 +335,7 @@ func (d *BCT2Reader) readFull(p []byte) error {
 
 // readUvarint reads a varint byte by byte; capture, when non-nil, collects
 // the raw bytes (the trailer is checksummed over its encoded form).
-func (d *BCT2Reader) readUvarint(capture *[]byte) (uint64, error) {
+func (d *bct2Reader) readUvarint(capture *[]byte) (uint64, error) {
 	var x uint64
 	var shift uint
 	for i := 0; i < binary.MaxVarintLen64; i++ {
@@ -385,38 +368,21 @@ func noEOF(err error) error {
 }
 
 // corruptf wraps a decode failure with its location.
-func (d *BCT2Reader) corruptf(at int64, format string, args ...any) error {
+func (d *bct2Reader) corruptf(at int64, format string, args ...any) error {
 	return fmt.Errorf("tracefile: bct2 block %d at offset %d: %s",
 		d.blocks, at, fmt.Sprintf(format, args...))
 }
 
-func (d *BCT2Reader) corruptErr(at int64, what string, err error) error {
+func (d *bct2Reader) corruptErr(at int64, what string, err error) error {
 	return fmt.Errorf("tracefile: bct2 block %d at offset %d: %s: %w",
 		d.blocks, at, what, noEOF(err))
 }
 
-// NextBlock decodes the next block's events, appending to dst (pass nil, or
-// a slice to reuse as dst[:0]). It returns io.EOF after the end marker; any
-// other error is a located corruption or truncation diagnosis.
-func (d *BCT2Reader) NextBlock(dst []vm.BranchEvent) ([]vm.BranchEvent, error) {
-	words, err := d.nextWords(d.words[:0])
-	if err != nil {
-		return nil, err
-	}
-	d.words = words
-	d.table = expansions(d.table, d.sites)
-	dst, _ = expand(dst, len(words), d.table, words, 0)
-	return dst, nil
-}
-
 // nextWords decodes the next block, appending its events to dst in the
 // in-memory Trace's packed encoding over the reader's dictionary (d.sites).
-// It returns io.EOF after the end marker; any other error is a located
-// corruption or truncation diagnosis.
-func (d *BCT2Reader) nextWords(dst []uint32) ([]uint32, error) {
-	if d.done {
-		return nil, io.EOF
-	}
+// It returns io.EOF after the trailer, when the input ends there; any other
+// error is a located corruption or truncation diagnosis.
+func (d *bct2Reader) nextWords(dst []uint32) ([]uint32, error) {
 	var t0 time.Time
 	if d.hDecode != nil {
 		t0 = time.Now()
@@ -462,9 +428,11 @@ func (d *BCT2Reader) nextWords(dst []uint32) ([]uint32, error) {
 	return dst, nil
 }
 
-// readTrailer consumes the checksummed steps/runs trailer and flags the
-// stream done.
-func (d *BCT2Reader) readTrailer(start int64) error {
+// readTrailer consumes the checksummed steps/runs trailer and returns
+// io.EOF if the input ends there. Bytes after it, a second trace
+// concatenated to the first say, are an error: loading the first trace
+// alone would score a stream the input does not hold.
+func (d *bct2Reader) readTrailer(start int64) error {
 	var raw []byte
 	steps, err := d.readUvarint(&raw)
 	if err != nil {
@@ -485,7 +453,14 @@ func (d *BCT2Reader) readTrailer(start int64) error {
 	if steps > math.MaxInt64 || runs > math.MaxInt32 {
 		return d.corruptf(start, "implausible trailer (steps %d, runs %d)", steps, runs)
 	}
-	d.steps, d.runs, d.done = int64(steps), int(runs), true
+	d.steps, d.runs = int64(steps), int(runs)
+	at := d.off
+	switch _, err := d.readByte(); {
+	case err == nil:
+		return d.corruptf(at, "data after the trailer")
+	case !errors.Is(err, io.EOF):
+		return d.corruptErr(at, "after the trailer", err)
+	}
 	return io.EOF
 }
 
@@ -494,7 +469,7 @@ func (d *BCT2Reader) readTrailer(start int64) error {
 // fields it rejects a dictionary that lists a pc twice and a direct branch
 // whose target in one direction changes: the writer emits neither, and
 // either would make replay disagree with the events as written.
-func (d *BCT2Reader) decodePayload(payload []byte, start int64, dst []uint32) ([]uint32, error) {
+func (d *bct2Reader) decodePayload(payload []byte, start int64, dst []uint32) ([]uint32, error) {
 	pos := 0
 	uv := func() (uint64, bool) {
 		v, n := binary.Uvarint(payload[pos:])
@@ -597,32 +572,4 @@ func (d *BCT2Reader) decodePayload(payload []byte, start int64, dst []uint32) ([
 	}
 	d.events += nEvents
 	return dst, nil
-}
-
-// Steps returns the trailer's dynamic instruction count (valid after the
-// stream is fully consumed).
-func (d *BCT2Reader) Steps() int64 { return d.steps }
-
-// Runs returns the trailer's recorded-run count (valid after EOF).
-func (d *BCT2Reader) Runs() int { return d.runs }
-
-// Blocks returns the number of blocks decoded so far.
-func (d *BCT2Reader) Blocks() int { return d.blocks }
-
-// Events returns the number of events decoded so far.
-func (d *BCT2Reader) Events() uint64 { return d.events }
-
-// Sites returns the number of dictionary sites decoded so far.
-func (d *BCT2Reader) Sites() int { return len(d.sites) }
-
-// Offset returns the stream position in bytes.
-func (d *BCT2Reader) Offset() int64 { return d.off }
-
-// ScoreStream is Trace.ScoreParallelContext over a BCT2 stream, without
-// materializing the trace: each block is decoded once, and memory stays
-// bounded by one block whatever the trace length. A decode error ends the
-// replay, located.
-func ScoreStream(ctx context.Context, d *BCT2Reader, hooks ...vm.BranchFunc) error {
-	d.Instrument(telemetry.FromContext(ctx))
-	return drive(ctx, &cursor{d: d}, asSinks(hookSinks(hooks)))
 }

@@ -121,111 +121,112 @@ func fixBlockCRC(enc []byte, l bct2Layout) {
 	binary.LittleEndian.PutUint32(enc[l.crc:], sum)
 }
 
-func decodeBCT2(enc []byte) error {
-	d, err := tracefile.NewBCT2Reader(bytes.NewReader(enc))
-	if err != nil {
-		return err
-	}
-	var evs []vm.BranchEvent
-	for {
-		evs, err = d.NextBlock(evs[:0])
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
 // TestBCT2FieldCorruption corrupts every field of the block framing — length,
-// dictionary, event stream, checksums, end marker, trailer — one at a time
-// and requires a diagnosed failure for each: an error naming the failure
-// (located by block and offset for in-stream fields), never a panic, a bare
-// EOF, or a silently truncated decode.
+// dictionary, event stream, checksums, end marker, trailer — one at a time,
+// cuts the trailer short and appends bytes after it, and requires a
+// diagnosed failure for each: an error naming the failure (located by block
+// and offset for every in-stream fault), never a panic, a bare EOF, a
+// silently truncated decode, or a decode of the first trace of two.
 func TestBCT2FieldCorruption(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(enc []byte, l bct2Layout)
+		mutate func(enc []byte, l bct2Layout) []byte
 		want   string // substring the error must contain
 	}{
-		{"version", func(enc []byte, l bct2Layout) {
+		{"version", func(enc []byte, l bct2Layout) []byte {
 			enc[l.version] = 0x63
+			return enc
 		}, "version"},
-		{"payload-length-continuation", func(enc []byte, l bct2Layout) {
+		{"payload-length-continuation", func(enc []byte, l bct2Layout) []byte {
 			// Setting the continuation bit splices the payload's first byte
 			// into the length varint: everything downstream misparses.
 			enc[l.lenOff] |= 0x80
+			return enc
 		}, "offset"},
-		{"payload-length-reads-as-end-marker", func(enc []byte, l bct2Layout) {
+		{"payload-length-reads-as-end-marker", func(enc []byte, l bct2Layout) []byte {
 			enc[l.lenOff] = 0x00
+			return enc
 		}, "offset"},
-		{"event-count-zero", func(enc []byte, l bct2Layout) {
+		{"event-count-zero", func(enc []byte, l bct2Layout) []byte {
 			enc[l.nEvents] = 0x00
 			fixBlockCRC(enc, l)
+			return enc
 		}, "bad event count"},
-		{"site-count-exceeds-events", func(enc []byte, l bct2Layout) {
+		{"site-count-exceeds-events", func(enc []byte, l bct2Layout) []byte {
 			enc[l.nNew] = 0x7f
 			fixBlockCRC(enc, l)
+			return enc
 		}, "bad site count"},
-		{"site-pc-delta-negative", func(enc []byte, l bct2Layout) {
+		{"site-pc-delta-negative", func(enc []byte, l bct2Layout) []byte {
 			// Odd zigzag values are negative: the first site's pc goes below 0.
 			enc[l.site] |= 0x01
 			fixBlockCRC(enc, l)
+			return enc
 		}, "site entry"},
-		{"site-opcode-not-a-branch", func(enc []byte, l bct2Layout) {
+		{"site-opcode-not-a-branch", func(enc []byte, l bct2Layout) []byte {
 			enc[l.siteOp] = 0x00
 			fixBlockCRC(enc, l)
+			return enc
 		}, "site entry"},
-		{"event-references-unknown-site", func(enc []byte, l bct2Layout) {
+		{"event-references-unknown-site", func(enc []byte, l bct2Layout) []byte {
 			enc[l.events] = 0x7f // site index 31 of a two-site dictionary
 			fixBlockCRC(enc, l)
+			return enc
 		}, "unknown site"},
-		{"event-stream-byte-flip", func(enc []byte, l bct2Layout) {
+		{"event-stream-byte-flip", func(enc []byte, l bct2Layout) []byte {
 			enc[l.events+1] ^= 0xff
+			return enc
 		}, "checksum mismatch"},
-		{"block-crc-flip", func(enc []byte, l bct2Layout) {
+		{"block-crc-flip", func(enc []byte, l bct2Layout) []byte {
 			enc[l.crc] ^= 0xff
+			return enc
 		}, "checksum mismatch"},
-		{"end-marker-nonzero", func(enc []byte, l bct2Layout) {
+		{"end-marker-nonzero", func(enc []byte, l bct2Layout) []byte {
 			// The trailer now frames as a block: its bytes cannot checksum.
 			enc[l.end] = 0x01
+			return enc
 		}, "offset"},
-		{"trailer-steps-flip", func(enc []byte, l bct2Layout) {
+		{"trailer-steps-flip", func(enc []byte, l bct2Layout) []byte {
 			enc[l.steps] ^= 0x40
+			return enc
 		}, "trailer checksum mismatch"},
-		{"trailer-runs-flip", func(enc []byte, l bct2Layout) {
+		{"trailer-runs-flip", func(enc []byte, l bct2Layout) []byte {
 			enc[l.runs] ^= 0x01
+			return enc
 		}, "trailer checksum mismatch"},
-		{"trailer-crc-flip", func(enc []byte, l bct2Layout) {
+		{"trailer-crc-flip", func(enc []byte, l bct2Layout) []byte {
 			enc[l.trailerCRC] ^= 0xff
+			return enc
 		}, "trailer checksum mismatch"},
-		{"trailer-truncated", func(enc []byte, l bct2Layout) {
-			// mutate cannot shorten in place; decode handles it below via
-			// the cut marker offset stored in l.trailerCRC.
-		}, ""},
+		{"trailer-truncated", func(enc []byte, l bct2Layout) []byte {
+			return enc[:l.trailerCRC+2]
+		}, "trailer checksum"},
+		{"second-trace-after-trailer", func(enc []byte, l bct2Layout) []byte {
+			return append(enc, enc...)
+		}, "data after the trailer"},
+		{"garbage-after-trailer", func(enc []byte, l bct2Layout) []byte {
+			return append(enc, "garbage"...)
+		}, "data after the trailer"},
 	}
 	enc := tinyBCT2(t)
-	if err := decodeBCT2(enc); err != nil {
+	if _, err := tracefile.ReadTrace(bytes.NewReader(enc)); err != nil {
 		t.Fatalf("clean stream failed to decode: %v", err)
 	}
 	l := layoutBCT2(t, enc)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := bytes.Clone(enc)
-			tc.mutate(bad, l)
-			if tc.name == "trailer-truncated" {
-				bad = bad[:l.trailerCRC+2]
-			}
-			err := decodeBCT2(bad)
+			_, err := tracefile.ReadTrace(bytes.NewReader(tc.mutate(bytes.Clone(enc), l)))
 			if err == nil {
 				t.Fatal("corrupt stream decoded cleanly")
 			}
 			if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("corruption surfaced as bare EOF: %v", err)
 			}
-			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
+			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
+			}
+			if tc.name != "version" && !strings.Contains(err.Error(), "offset") {
+				t.Fatalf("error %q is not located", err)
 			}
 		})
 	}
@@ -242,15 +243,8 @@ func TestBCT2CorruptionNeverShortens(t *testing.T) {
 	for off := l.lenOff; off < l.crc+4; off++ {
 		bad := bytes.Clone(enc)
 		bad[off] ^= 0x10
-		d, err := tracefile.NewBCT2Reader(bytes.NewReader(bad))
-		if err != nil {
-			continue
-		}
-		var evs []vm.BranchEvent
-		for err == nil {
-			evs, err = d.NextBlock(evs[:0])
-		}
-		if errors.Is(err, io.EOF) {
+		_, err := tracefile.ReadTrace(bytes.NewReader(bad))
+		if err == nil {
 			t.Fatalf("flip at offset %d decoded cleanly past the block checksum", off)
 		}
 		if !strings.Contains(err.Error(), "offset") {

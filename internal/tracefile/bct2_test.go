@@ -2,7 +2,6 @@ package tracefile_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -10,9 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"branchcost/internal/btb"
 	"branchcost/internal/isa"
-	"branchcost/internal/predict"
 	"branchcost/internal/tracefile"
 	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
@@ -121,66 +118,6 @@ func TestWriteToMatchesReferenceEveryBenchmark(t *testing.T) {
 	}
 }
 
-// TestScoreStreamMatchesReplay: streaming block replay must produce exactly
-// the statistics of materialized replay (also the -race exercise for the
-// fan-out).
-func TestScoreStreamMatchesReplay(t *testing.T) {
-	tr, _ := liveEvents(t, "compress")
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	mk := func() []*predict.Evaluator {
-		return []*predict.Evaluator{
-			{P: btb.NewSBTB(256, 256)},
-			{P: btb.NewCBTB(256, 256, 2, 2)},
-			{P: predict.AlwaysNotTaken{}},
-		}
-	}
-	seq, str := mk(), mk()
-	for _, e := range seq {
-		tr.Replay(e.Hook())
-	}
-	d, err := tracefile.NewBCT2Reader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hooks := make([]vm.BranchFunc, len(str))
-	for i, e := range str {
-		hooks[i] = e.Hook()
-	}
-	if err := tracefile.ScoreStream(context.Background(), d, hooks...); err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if seq[i].S != str[i].S {
-			t.Fatalf("evaluator %d: stream stats differ:\nseq %+v\nstr %+v", i, seq[i].S, str[i].S)
-		}
-	}
-	if d.Events() != uint64(tr.Len()) || d.Steps() != tr.Steps || d.Runs() != tr.Runs {
-		t.Fatalf("stream accounting wrong: %d events, %d steps, %d runs",
-			d.Events(), d.Steps(), d.Runs())
-	}
-}
-
-func TestScoreStreamHonorsContext(t *testing.T) {
-	tr, _ := liveEvents(t, "wc")
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := tracefile.NewBCT2Reader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err = tracefile.ScoreStream(ctx, d, func(vm.BranchEvent) {})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled stream returned %v, want context.Canceled", err)
-	}
-}
-
 // bct2Bytes returns wc's run-0 trace in BCT2 encoding.
 func bct2Bytes(t *testing.T) []byte {
 	t.Helper()
@@ -229,10 +166,10 @@ func TestBCT2TruncationDiagnosed(t *testing.T) {
 }
 
 func TestBCT2BadMagicAndVersion(t *testing.T) {
-	if _, err := tracefile.NewBCT2Reader(strings.NewReader("BCTX....")); !errors.Is(err, tracefile.ErrBadMagic) {
+	if _, err := tracefile.ReadTrace(strings.NewReader("BCTX....")); !errors.Is(err, tracefile.ErrBadMagic) {
 		t.Fatalf("bad magic: %v, want ErrBadMagic", err)
 	}
-	if _, err := tracefile.NewBCT2Reader(strings.NewReader("BCT2\x63rest")); err == nil ||
+	if _, err := tracefile.ReadTrace(strings.NewReader("BCT2\x63rest")); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version: %v, want version error", err)
 	}
@@ -251,12 +188,11 @@ func TestWriteToDefaultsToBCT2(t *testing.T) {
 	}
 }
 
-// FuzzBCT2Decode hammers the block decoder with mutated streams: whatever
-// the bytes, decoding must terminate without panicking, and any non-EOF
-// outcome must be a located error. A stream that decodes to EOF must also
-// load through ReadTrace and replay, without panicking, to exactly the
-// events block decoding produced, and the loaded trace's WriteTo must write
-// the reference encoding of those events byte for byte.
+// FuzzBCT2Decode hammers the decoder with mutated streams: whatever the
+// bytes, ReadTrace must return without panicking, and past a valid header
+// every error must be located. A stream that loads must replay without
+// panicking, its WriteTo must write the reference encoding of its events
+// byte for byte, and those bytes must load back to the same events.
 func FuzzBCT2Decode(f *testing.F) {
 	tr, err := tracefile.Record(mustProgram(f), [][]byte{nil})
 	if err != nil {
@@ -288,42 +224,41 @@ func FuzzBCT2Decode(f *testing.F) {
 	f.Add(retargetStream())                                           // a direct branch changing target
 	f.Add(lateSiteStream())                                           // a site first referenced a block after its entry
 	f.Add(unusedSiteStream())                                         // a site no event references
+	f.Add(append(bytes.Clone(enc), enc...))                           // a second trace after the trailer
+	f.Add(append(bytes.Clone(enc), "garbage"...))                     // bytes after the trailer
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := tracefile.NewBCT2Reader(bytes.NewReader(data))
+		tr, err := tracefile.ReadTrace(bytes.NewReader(data))
 		if err != nil {
-			return
-		}
-		var decoded, evs []vm.BranchEvent
-		for err == nil {
-			if evs, err = d.NextBlock(decoded); err == nil {
-				decoded = evs
-			}
-		}
-		if !errors.Is(err, io.EOF) {
-			if !strings.Contains(err.Error(), "offset") {
+			if bytes.HasPrefix(data, []byte("BCT2\x01")) && !strings.Contains(err.Error(), "offset") {
 				t.Fatalf("decode error lacks location: %v", err)
 			}
 			return
 		}
-		tr, err := tracefile.ReadTrace(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("stream decodes to EOF but does not load: %v", err)
-		}
-		i := 0
-		tr.Replay(func(ev vm.BranchEvent) {
-			if i >= len(decoded) || ev != decoded[i] {
-				t.Fatalf("replayed event %d = %+v, block decoding gave %d events", i, ev, len(decoded))
-			}
-			i++
-		})
-		if i != len(decoded) {
-			t.Fatalf("replayed %d events, block decoding gave %d", i, len(decoded))
-		}
+		var evs []vm.BranchEvent
+		tr.Replay(func(ev vm.BranchEvent) { evs = append(evs, ev) })
 		want, wantErr := referenceBCT2(tr)
 		var got bytes.Buffer
 		if _, err := tr.WriteTo(&got); (err != nil) != (wantErr != nil) || !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("WriteTo wrote %d bytes (err %v), the reference %d (err %v)",
 				got.Len(), err, len(want), wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		back, err := tracefile.ReadTrace(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("re-encoded stream does not load: %v", err)
+		}
+		i := 0
+		back.Replay(func(ev vm.BranchEvent) {
+			if i >= len(evs) || ev != evs[i] {
+				t.Fatalf("reloaded event %d = %+v, the stream loaded %d events", i, ev, len(evs))
+			}
+			i++
+		})
+		if i != len(evs) || back.Steps != tr.Steps || back.Runs != tr.Runs {
+			t.Fatalf("reloaded %d events, %d steps, %d runs; loaded %d, %d, %d",
+				i, back.Steps, back.Runs, len(evs), tr.Steps, tr.Runs)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package tracefile_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -10,9 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"branchcost/internal/btb"
 	"branchcost/internal/isa"
-	"branchcost/internal/predict"
 	"branchcost/internal/tracefile"
 	"branchcost/internal/vm"
 )
@@ -46,8 +43,8 @@ func dupPCStream() []byte {
 }
 
 // retargetStream holds four taken BEQ events at pc 10 whose taken target
-// changes from 20 to 30 after two events: streamed, each event would score
-// its own target; materialized, all four would replay the last one.
+// changes from 20 to 30 after two events: loaded, all four would replay
+// one of the two targets.
 func retargetStream() []byte {
 	return bct2Stream([]byte{
 		0x04, 0x01, // 4 events, 1 new site
@@ -90,10 +87,8 @@ func unusedSiteStream() []byte {
 }
 
 // TestBCT2RejectsConflictingStreams: a dictionary giving one pc two static
-// identities, and a direct branch whose target changes, are refused with a
-// located error by the block decoder, by the materializing loader and by
-// streamed scoring alike — so no path can score such a stream differently
-// from another.
+// identities, and a direct branch whose target changes, are refused by the
+// loader with a located error, so no such stream is ever scored.
 func TestBCT2RejectsConflictingStreams(t *testing.T) {
 	for name, tc := range map[string]struct {
 		enc  []byte
@@ -103,24 +98,13 @@ func TestBCT2RejectsConflictingStreams(t *testing.T) {
 		"target-changes":  {retargetStream(), "changes the taken target of pc 10 from 20 to 30"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			check := func(path string, err error) {
-				t.Helper()
-				if err == nil {
-					t.Fatalf("%s: conflicting stream accepted", path)
-				}
-				if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "offset") {
-					t.Fatalf("%s: error %q, want a located %q", path, err, tc.want)
-				}
-			}
-			check("NextBlock", decodeBCT2(tc.enc))
 			_, err := tracefile.ReadTrace(bytes.NewReader(tc.enc))
-			check("ReadTrace", err)
-			d, err := tracefile.NewBCT2Reader(bytes.NewReader(tc.enc))
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				t.Fatal("conflicting stream accepted")
 			}
-			e := &predict.Evaluator{P: btb.NewSBTB(256, 256)}
-			check("ScoreStream", tracefile.ScoreStream(context.Background(), d, e.Hook(), func(vm.BranchEvent) {}))
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "offset") {
+				t.Fatalf("error %q, want a located %q", err, tc.want)
+			}
 		})
 	}
 }

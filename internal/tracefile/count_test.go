@@ -149,3 +149,27 @@ func TestCountsStopOnCancel(t *testing.T) {
 		t.Errorf("a cancelled count scored %+v", e.S)
 	}
 }
+
+// TestScoreStopsReplayOnCancel: Score checks its context between the blocks
+// of a replay it has started, every ctxCheckEvery events, so a replayed
+// sink has seen at most (n−1)·ctxCheckEvery events when the n-th check
+// finds the context cancelled; and a cancelled context returns its error
+// even when there is nothing to replay.
+func TestScoreStopsReplayOnCancel(t *testing.T) {
+	tr := syntheticTrace(4 * ctxCheckEvery)
+	for n := 1; n <= 3; n++ {
+		sink := &countSink{}
+		err := Score(&cancelAfter{Context: context.Background(), n: n}, tr, []*countSink{sink})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("check %d cancels: Score = %v, want context.Canceled", n, err)
+		}
+		if limit := (n - 1) * ctxCheckEvery; sink.n > limit || (n > 1 && sink.n == 0) {
+			t.Errorf("check %d cancels: the sink saw %d events, want 1 to %d", n, sink.n, limit)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Score(ctx, &Trace{}, []*countSink{{}}); !errors.Is(err, context.Canceled) {
+		t.Errorf("empty trace under a cancelled context: Score = %v, want context.Canceled", err)
+	}
+}

@@ -1,20 +1,19 @@
 package tracefile
 
 // The replay engine: the one loop every scorer of a recorded branch stream
-// runs through. A cursor expands the packed stream — an in-memory Trace's,
-// or a BCT2 stream's a decoded block at a time — into fixed-size blocks of
-// events in a reused buffer, and every BlockSink consumes each whole block.
-// Bookkeeping is per block, not per event: the "tracefile.replay.events"
-// counter takes one add per block, and the cancellation check and the
-// "tracefile.replay.latency_ns" histogram run once per ctxCheckEvery-event
-// chunk, so no atomic and no clock read sits on the per-event path. A sink
+// runs through. Score expands a Trace's packed stream into fixed-size blocks
+// of events in a reused buffer, and every BlockSink consumes each whole
+// block; a trace file is first loaded whole by ReadTrace. Bookkeeping is per
+// block, not per event: the "tracefile.replay.events" counter takes one add
+// per block, and the cancellation check and the "tracefile.replay.latency_ns"
+// histogram run once per ctxCheckEvery-event chunk, so no atomic and no
+// clock read sits on the per-event path. A sink
 // Score scores from the trace's event histogram instead (see CountSink)
 // still adds the trace's events to the counter, in one add.
 
 import (
 	"context"
 	"errors"
-	"io"
 	"runtime"
 	"slices"
 	"sync"
@@ -100,7 +99,7 @@ func Score[S BlockSink](ctx context.Context, t *Trace, sinks []S) error {
 	if len(replayed) == 0 {
 		return ctx.Err()
 	}
-	return drive(ctx, &cursor{table: expansions(nil, t.sites), stream: t.stream}, replayed)
+	return drive(ctx, t, replayed)
 }
 
 // maxJumpTargets bounds the distinct (site, target) pairs of indirect jumps
@@ -145,7 +144,7 @@ func (t *Trace) histogram(ctx context.Context) ([]vm.BranchEvent, []int64, error
 	slices.Sort(keys) // by word, then target
 	var evs []vm.BranchEvent
 	var counts []int64
-	for w, ev := range expansions(nil, t.sites) {
+	for w, ev := range expansions(t.sites) {
 		if perWord[w] == 0 {
 			continue
 		}
@@ -186,19 +185,23 @@ func hookSinks(hooks []vm.BranchFunc) []hookSink {
 	return out
 }
 
-// drive feeds every block cur yields to every sink: the engine's one replay
-// loop.
-func drive(ctx context.Context, cur *cursor, sinks []BlockSink) error {
+// drive feeds the trace to every sink a block at a time, expanded into one
+// reused buffer: the engine's one replay loop. It checks ctx before the
+// first block, so a cancelled context returns its error even for an empty
+// trace, and then after every ctxCheckEvery events.
+func drive(ctx context.Context, t *Trace, sinks []BlockSink) error {
 	set := telemetry.FromContext(ctx)
 	events := set.Counter("tracefile.replay.events")
 	latency := set.Histogram("tracefile.replay.latency_ns")
 	workers := min(runtime.GOMAXPROCS(0), len(sinks))
+	table := expansions(t.sites)
+	var buf []vm.BranchEvent
 	var chunkStart time.Time
 	if latency != nil {
 		chunkStart = time.Now()
 	}
 	seen, checked := 0, 0 // events replayed, and as of the last check
-	for {
+	for pos := 0; ; {
 		if seen == 0 || seen-checked >= ctxCheckEvery {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -210,16 +213,13 @@ func drive(ctx context.Context, cur *cursor, sinks []BlockSink) error {
 			}
 			checked = seen
 		}
-		evs, err := cur.next()
-		if errors.Is(err, io.EOF) {
+		if pos == len(t.stream) {
 			break
 		}
-		if err != nil {
-			return err
-		}
-		observe(evs, sinks, workers)
-		events.Add(int64(len(evs) * len(sinks)))
-		seen += len(evs)
+		buf, pos = expand(buf[:0], blockLen, table, t.stream, pos)
+		observe(buf, sinks, workers)
+		events.Add(int64(len(buf) * len(sinks)))
+		seen += len(buf)
 	}
 	if latency != nil && seen > checked {
 		latency.Observe(time.Since(chunkStart).Nanoseconds())
@@ -264,37 +264,11 @@ func observe(evs []vm.BranchEvent, sinks []BlockSink, workers int) {
 	}
 }
 
-// cursor expands a packed stream (see Trace) block by block. Reading a BCT2
-// stream, it refills the packed words a decoded block at a time.
-type cursor struct {
-	table  []vm.BranchEvent // expansions of the stream's sites
-	stream []uint32
-	pos    int
-	buf    []vm.BranchEvent
-	d      *BCT2Reader // nil for an in-memory trace
-}
-
-func (c *cursor) next() ([]vm.BranchEvent, error) {
-	for c.pos >= len(c.stream) {
-		if c.d == nil {
-			return nil, io.EOF
-		}
-		words, err := c.d.nextWords(c.stream[:0])
-		if err != nil {
-			return nil, err
-		}
-		// A block may add sites and learn targets: refresh the expansions.
-		c.stream, c.pos, c.table = words, 0, expansions(c.table, c.d.sites)
-	}
-	c.buf, c.pos = expand(c.buf[:0], blockLen, c.table, c.stream, c.pos)
-	return c.buf, nil
-}
-
 // expansions returns the event every packed word expands to over sites,
 // indexed by the word itself: entry 2i is site i not taken, 2i+1 taken. An
 // indirect jump's entry lacks the target, which follows in the stream.
-func expansions(dst []vm.BranchEvent, sites []traceSite) []vm.BranchEvent {
-	dst = slices.Grow(dst[:0], 2*len(sites))[:2*len(sites)]
+func expansions(sites []traceSite) []vm.BranchEvent {
+	dst := make([]vm.BranchEvent, 2*len(sites))
 	for i, s := range sites {
 		ev := vm.BranchEvent{PC: s.pc, ID: s.id, Op: s.op, Likely: s.likely, Target: s.fallTarget}
 		dst[2*i] = ev
@@ -307,8 +281,7 @@ func expansions(dst []vm.BranchEvent, sites []traceSite) []vm.BranchEvent {
 // expand decodes up to n events of a packed stream, starting at word pos,
 // appending them to dst; it returns the extended slice and the position
 // after the last word consumed. It is the one place packed words become
-// vm.BranchEvents, for in-memory traces and BCT2 blocks alike; table is
-// the sites' expansions.
+// vm.BranchEvents; table is the sites' expansions.
 func expand(dst []vm.BranchEvent, n int, table []vm.BranchEvent, stream []uint32, pos int) ([]vm.BranchEvent, int) {
 	n = min(n, len(stream)-pos) // every event takes at least one word
 	i := len(dst)

@@ -1,7 +1,6 @@
 package tracefile
 
 import (
-	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -32,43 +31,27 @@ type countSink struct{ n int }
 
 func (c *countSink) ObserveBlock(evs []vm.BranchEvent) { c.n += len(evs) }
 
-// TestReplayEventCounter checks the engine's telemetry contract from both
-// sources and at several sink counts: every sink sees every event, and the
-// per-block counter adds up to exactly events × sinks.
+// TestReplayEventCounter checks the engine's telemetry contract at several
+// sink counts: every sink sees every event, and the per-block counter adds
+// up to exactly events × sinks.
 func TestReplayEventCounter(t *testing.T) {
 	tr := syntheticTrace(10_000)
-	var enc bytes.Buffer
-	if _, err := tr.WriteTo(&enc); err != nil {
-		t.Fatal(err)
-	}
-	sources := map[string]func(context.Context, []*countSink) error{
-		"trace": func(ctx context.Context, sinks []*countSink) error { return Score(ctx, tr, sinks) },
-		"bct2": func(ctx context.Context, sinks []*countSink) error {
-			d, err := NewBCT2Reader(bytes.NewReader(enc.Bytes()))
-			if err != nil {
-				return err
+	for _, n := range []int{1, 3, 8} {
+		set := telemetry.New()
+		sinks := make([]*countSink, n)
+		for i := range sinks {
+			sinks[i] = &countSink{}
+		}
+		if err := Score(telemetry.NewContext(context.Background(), set), tr, sinks); err != nil {
+			t.Fatalf("%d sinks: %v", n, err)
+		}
+		for i, s := range sinks {
+			if s.n != tr.Len() {
+				t.Fatalf("sink %d of %d saw %d events, trace has %d", i, n, s.n, tr.Len())
 			}
-			return drive(ctx, &cursor{d: d}, asSinks(sinks))
-		},
-	}
-	for name, score := range sources {
-		for _, n := range []int{1, 3, 8} {
-			set := telemetry.New()
-			sinks := make([]*countSink, n)
-			for i := range sinks {
-				sinks[i] = &countSink{}
-			}
-			if err := score(telemetry.NewContext(context.Background(), set), sinks); err != nil {
-				t.Fatalf("%s, %d sinks: %v", name, n, err)
-			}
-			for i, s := range sinks {
-				if s.n != tr.Len() {
-					t.Fatalf("%s: sink %d of %d saw %d events, trace has %d", name, i, n, s.n, tr.Len())
-				}
-			}
-			if got, want := set.Counter("tracefile.replay.events").Value(), int64(n*tr.Len()); got != want {
-				t.Fatalf("%s, %d sinks: replay.events = %d, want %d", name, n, got, want)
-			}
+		}
+		if got, want := set.Counter("tracefile.replay.events").Value(), int64(n*tr.Len()); got != want {
+			t.Fatalf("%d sinks: replay.events = %d, want %d", n, got, want)
 		}
 	}
 }

@@ -6,11 +6,12 @@
 // without re-executing the program.
 //
 // Trace files have one encoding, the block-structured compressed BCT2 (see
-// bct2.go), used for standalone files and the on-disk corpus alike.
-// ReadTrace rejects any other stream with ErrBadMagic. Trace.WriteTo
-// encodes a recorded trace straight from its packed words; BCT2Writer
-// encodes a live event stream as it arrives; both write the same bytes for
-// the same events.
+// bct2.go), used for standalone files and the on-disk corpus alike. A file
+// has one way in, ReadTrace, which loads it whole (any other stream fails
+// with ErrBadMagic), and one way to be scored, Score over the loaded Trace.
+// Trace.WriteTo encodes a recorded trace straight from its packed words;
+// BCT2Writer.Record, one event at a time, is the reference encoding WriteTo
+// must match byte for byte.
 package tracefile
 
 import (
@@ -18,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"branchcost/internal/isa"
 	"branchcost/internal/pcindex"
@@ -263,28 +265,41 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 // ReadTraceContext is ReadTrace with telemetry: when ctx carries a Set,
 // "tracefile.read.bct2" counts the stream and the per-block decode counters
 // are recorded. The stream loads without building a single event: the
-// trace adopts the decoder's site dictionary and its packed stream is the
-// decoder's words.
+// trace adopts the decoder's site dictionary, and its packed stream is the
+// decoder's words. Each block decodes into a reused buffer and is kept at
+// its exact length, and the blocks are joined once at the end, so a load
+// allocates about 8 bytes per event and keeps 4; appending every block to
+// one growing stream would copy the stream again at each growth. The input
+// must end at the trailer.
 func ReadTraceContext(ctx context.Context, r io.Reader) (*Trace, error) {
 	set := telemetry.FromContext(ctx)
-	d, err := NewBCT2Reader(r)
+	d, err := newBCT2Reader(r)
 	if err != nil {
 		return nil, err
 	}
 	set.Counter("tracefile.read.bct2").Inc()
-	d.Instrument(set)
-	t := &Trace{}
+	d.instrument(set)
+	var blocks [][]uint32
+	var buf []uint32
+	n := 0
 	for {
-		words, err := d.nextWords(t.stream)
+		words, err := d.nextWords(buf[:0])
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		t.stream = words
+		buf = words
+		blocks = append(blocks, slices.Clone(words))
+		n += len(words)
 	}
-	t.sites, t.bySite, t.events = d.sites, d.bySite, int(d.events)
-	t.Steps, t.Runs = d.Steps(), d.Runs()
+	// One plain make, not slices.Concat: race-instrumented builds do not
+	// elide the temporary that Concat's Grow allocates, doubling the join.
+	t := &Trace{sites: d.sites, bySite: d.bySite, stream: make([]uint32, 0, n), events: int(d.events),
+		Steps: d.steps, Runs: d.runs}
+	for _, b := range blocks {
+		t.stream = append(t.stream, b...)
+	}
 	return t, nil
 }

@@ -1,6 +1,7 @@
 package tracefile_test
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"runtime"
@@ -146,5 +147,45 @@ func TestTraceRecordFarPCs(t *testing.T) {
 	})
 	if i != len(evs) {
 		t.Fatalf("replayed %d events, recorded %d", i, len(evs))
+	}
+}
+
+// TestReadTraceAllocation: loading a trace of many blocks allocates under 3×
+// the packed stream it keeps (4 bytes per word). Each block decodes into a
+// reused buffer, is kept at its length and the blocks are joined once;
+// appending every block to one growing stream allocated about 6×.
+func TestReadTraceAllocation(t *testing.T) {
+	tr := &tracefile.Trace{}
+	words := 0
+	for i := range 1 << 20 {
+		pc := int32(10 + i%8)
+		ev := vm.BranchEvent{PC: pc, ID: pc, Op: isa.BEQ, Taken: i%3 != 0, Target: pc + 1}
+		switch {
+		case pc == 17: // an indirect jump: a second word for its target
+			ev = vm.BranchEvent{PC: pc, ID: pc, Op: isa.JMPI, Taken: true, Target: int32(100 + i%5)}
+			words++
+		case ev.Taken:
+			ev.Target = pc + 40
+		}
+		tr.Record(ev)
+		words++
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	back, err := tracefile.ReadTrace(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != tr.Len() {
+		t.Fatalf("loaded %d events, recorded %d", back.Len(), tr.Len())
+	}
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*4*words); alloc > limit {
+		t.Fatalf("loading %d words allocated %.1f MiB, over %.1f MiB (3× the packed stream)",
+			words, float64(alloc)/(1<<20), float64(limit)/(1<<20))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,9 +17,9 @@ import (
 	"branchcost/internal/workloads"
 )
 
-// tempTrace streams the given benchmark's run-0 branch stream to a BCT2
-// file through BCT2Writer.Hook and returns the path, the live-measured
-// branch events, and how many CALL events the run emitted.
+// tempTrace records the given benchmark's run-0 branch stream, writes it
+// to a BCT2 file and returns the path, the live-measured branch events, and
+// how many CALL events the run emitted.
 func tempTrace(t *testing.T, name string) (path string, live []vm.BranchEvent, calls int) {
 	t.Helper()
 	b, err := workloads.ByName(name)
@@ -31,35 +30,29 @@ func tempTrace(t *testing.T, name string) (path string, live []vm.BranchEvent, c
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr, err := tracefile.Record(prog, [][]byte{b.Input(0)}, func(ev vm.BranchEvent) {
+		if ev.Op.IsBranch() {
+			live = append(live, ev)
+		} else {
+			calls++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	path = filepath.Join(t.TempDir(), name+".bt")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tw, err := tracefile.NewBCT2Writer(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := tw.Hook()
-	hook := func(ev vm.BranchEvent) {
-		rec(ev)
-		if ev.Op.IsBranch() {
-			live = append(live, ev)
-		} else {
-			calls++
-		}
-	}
-	if _, err := vm.Run(prog, b.Input(0), hook, vm.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
+	if _, err := tr.WriteTo(f); err != nil {
 		t.Fatal(err)
 	}
 	return path, live, calls
 }
 
-// readEvents decodes a BCT2 file block by block.
+// readEvents loads a BCT2 file and replays its events.
 func readEvents(t *testing.T, path string) []vm.BranchEvent {
 	t.Helper()
 	f, err := os.Open(path)
@@ -67,24 +60,16 @@ func readEvents(t *testing.T, path string) []vm.BranchEvent {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	d, err := tracefile.NewBCT2Reader(f)
+	tr, err := tracefile.ReadTrace(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var evs []vm.BranchEvent
-	for {
-		block, err := d.NextBlock(nil)
-		if errors.Is(err, io.EOF) {
-			return evs
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs = append(evs, block...)
-	}
+	tr.Replay(func(ev vm.BranchEvent) { evs = append(evs, ev) })
+	return evs
 }
 
-// TestRoundTrip: a file streamed from a live run decodes to exactly the
+// TestRoundTrip: a file recorded from a live run decodes to exactly the
 // live branch events.
 func TestRoundTrip(t *testing.T) {
 	path, live, _ := tempTrace(t, "wc")
@@ -144,7 +129,7 @@ func TestBadMagic(t *testing.T) {
 }
 
 // TestCallsNotRecorded: CALL events never reach a trace, whether it is
-// recorded in memory (Trace.Hook) or streamed to a file (BCT2Writer.Hook).
+// recorded in memory (Trace.Hook) or written to a file and read back.
 func TestCallsNotRecorded(t *testing.T) {
 	path, live, calls := tempTrace(t, "tar")
 	if calls == 0 {
@@ -164,7 +149,7 @@ func TestCallsNotRecorded(t *testing.T) {
 	}
 	var replayed []vm.BranchEvent
 	mem.Replay(func(ev vm.BranchEvent) { replayed = append(replayed, ev) })
-	for name, evs := range map[string][]vm.BranchEvent{"Trace.Hook": replayed, "BCT2Writer.Hook": readEvents(t, path)} {
+	for name, evs := range map[string][]vm.BranchEvent{"Trace.Hook": replayed, "file": readEvents(t, path)} {
 		if len(evs) != len(live) {
 			t.Fatalf("%s: %d events, want %d branches", name, len(evs), len(live))
 		}
@@ -177,9 +162,11 @@ func TestCallsNotRecorded(t *testing.T) {
 }
 
 // TestCorruptOpcode: an event whose opcode is not a branch never reaches a
-// file: BCT2Writer refuses it with a sticky error that Close returns.
+// file: BCT2Writer refuses it with a sticky error that Close returns, and
+// writes nothing past the header.
 func TestCorruptOpcode(t *testing.T) {
-	tw, err := tracefile.NewBCT2Writer(io.Discard)
+	var buf bytes.Buffer
+	tw, err := tracefile.NewBCT2Writer(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +175,7 @@ func TestCorruptOpcode(t *testing.T) {
 	if err := tw.Close(); err == nil || !strings.Contains(err.Error(), "non-branch op 200") {
 		t.Fatalf("Close = %v, want a non-branch op error", err)
 	}
-	if tw.Count() != 0 {
-		t.Fatalf("recorded %d events after the corrupt one", tw.Count())
+	if buf.Len() != len("BCT2\x01") {
+		t.Fatalf("wrote %d bytes, want the 5-byte header alone", buf.Len())
 	}
 }
